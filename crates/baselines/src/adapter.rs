@@ -334,7 +334,6 @@ mod tests {
         let g = generators::gnp_connected(40, 0.15, 1).unwrap();
         for transport in [
             usnae_core::api::TransportKind::Channel,
-            usnae_core::api::TransportKind::Process,
             usnae_core::api::TransportKind::Socket,
         ] {
             let cfg = BuildConfig {

@@ -16,26 +16,11 @@ use usnae_core::sai::Exploration;
 use usnae_graph::bfs::multi_source_bfs;
 use usnae_graph::{Dist, Graph, VertexId};
 
-/// Builds an EM19-style spanner: a subgraph of `G` with
-/// `O(β·n^(1+1/κ))` edges.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the \"em19\" entry of usnae_baselines::registry instead"
-)]
-pub fn build_em19_spanner(g: &Graph, params: &DistributedParams) -> Emulator {
-    build_em19(g, params, 1)
-}
-
-/// Crate-internal entry point behind the registry adapter (and the
-/// deprecated free-function shim). The Task-1 explorations shard over
-/// `threads`; output is byte-identical for every thread count.
-pub(crate) fn build_em19(g: &Graph, params: &DistributedParams, threads: usize) -> Emulator {
-    build_em19_exec(g, params, &Engine::inproc(g, threads))
-}
-
-/// [`build_em19`] with the Task-1 explorations and ruling-set carving
-/// running through `engine` (shared array, partitioned shards, or a
-/// worker pool) — byte-identical either way.
+/// Crate-internal entry point behind the registry adapter: builds an
+/// EM19-style spanner, a subgraph of `G` with `O(β·n^(1+1/κ))` edges,
+/// with the Task-1 explorations and ruling-set carving running through
+/// `engine` (shared array, partitioned shards, or a worker pool) —
+/// byte-identical either way.
 pub(crate) fn build_em19_exec(
     g: &Graph,
     params: &DistributedParams,
@@ -162,6 +147,11 @@ mod tests {
     use usnae_core::api::{Algorithm, Emulator};
     use usnae_core::verify::is_subgraph_spanner;
     use usnae_graph::generators;
+
+    /// The in-process build at `threads`.
+    fn build_em19(g: &Graph, params: &DistributedParams, threads: usize) -> Emulator {
+        build_em19_exec(g, params, &Engine::inproc(g, threads))
+    }
 
     #[test]
     fn is_a_subgraph() {

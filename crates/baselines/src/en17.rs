@@ -18,31 +18,12 @@ use usnae_graph::bfs::multi_source_bfs;
 use usnae_graph::rng::Rng;
 use usnae_graph::{Graph, VertexId};
 
-/// Builds an EN17a-style emulator (randomized superclustering), seeded.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the \"en17a\" entry of usnae_baselines::registry instead"
-)]
-pub fn build_en17_emulator(g: &Graph, params: &CentralizedParams, seed: u64) -> Emulator {
-    build_en17(g, params, seed, 1)
-}
-
-/// Crate-internal entry point behind the registry adapter (and the
-/// deprecated free-function shim). The sampling RNG runs before any
-/// sharded work, so for a fixed `seed` the build is byte-identical for
-/// every thread count.
-pub(crate) fn build_en17(
-    g: &Graph,
-    params: &CentralizedParams,
-    seed: u64,
-    threads: usize,
-) -> Emulator {
-    build_en17_exec(g, params, seed, &Engine::inproc(g, threads))
-}
-
-/// [`build_en17`] with the explorations running through `engine` (shared
-/// array, partitioned shards, or a worker pool) — byte-identical either
-/// way.
+/// Crate-internal entry point behind the registry adapter: builds an
+/// EN17a-style emulator (randomized superclustering), seeded, with the
+/// explorations running through `engine` (shared array, partitioned
+/// shards, or a worker pool) — byte-identical either way. The sampling
+/// RNG runs before any sharded work, so for a fixed `seed` the build is
+/// byte-identical for every thread count.
 pub(crate) fn build_en17_exec(
     g: &Graph,
     params: &CentralizedParams,
@@ -194,6 +175,11 @@ fn run_phase(
 mod tests {
     use super::*;
     use usnae_graph::generators;
+
+    /// The in-process build at `threads`.
+    fn build_en17(g: &Graph, params: &CentralizedParams, seed: u64, threads: usize) -> Emulator {
+        build_en17_exec(g, params, seed, &Engine::inproc(g, threads))
+    }
 
     #[test]
     fn deterministic_per_seed() {

@@ -21,22 +21,9 @@ use usnae_core::params::CentralizedParams;
 use usnae_graph::bfs::multi_source_bfs;
 use usnae_graph::{Dist, Graph, VertexId};
 
-/// Builds an EP01-style emulator; size `O(log κ · n^(1+1/κ)) + (n − 1)`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the \"ep01\" entry of usnae_baselines::registry instead"
-)]
-pub fn build_ep01_emulator(g: &Graph, params: &CentralizedParams) -> Emulator {
-    build_ep01(g, params, 1)
-}
-
-/// [`build_ep01_exec`] over an in-process shared-array engine.
-pub(crate) fn build_ep01(g: &Graph, params: &CentralizedParams, threads: usize) -> Emulator {
-    build_ep01_exec(g, params, &Engine::inproc(g, threads))
-}
-
-/// Crate-internal entry point behind the registry adapter (and the
-/// deprecated free-function shim). Explorations run through `engine`
+/// Crate-internal entry point behind the registry adapter: builds an
+/// EP01-style emulator of size `O(log κ · n^(1+1/κ)) + (n − 1)`.
+/// Explorations run through `engine`
 /// (in-process fan-out over a shared array or partitioned shards, or a
 /// worker pool); the build is byte-identical for every thread count,
 /// layout, and transport.
@@ -188,6 +175,11 @@ fn run_phase(
 mod tests {
     use super::*;
     use usnae_graph::generators;
+
+    /// The in-process build at `threads`.
+    fn build_ep01(g: &Graph, params: &CentralizedParams, threads: usize) -> Emulator {
+        build_ep01_exec(g, params, &Engine::inproc(g, threads))
+    }
 
     #[test]
     fn includes_spanning_forest() {

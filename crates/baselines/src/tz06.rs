@@ -16,18 +16,9 @@ use usnae_graph::bfs::{bfs_bounded, multi_source_bfs};
 use usnae_graph::rng::Rng;
 use usnae_graph::{Dist, Graph};
 
-/// Builds the TZ06 emulator with `κ` levels and sampling probability
-/// `n^(−1/κ)`, seeded for reproducibility.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the \"tz06\" entry of usnae_baselines::registry instead"
-)]
-pub fn build_tz06_emulator(g: &Graph, kappa: u32, seed: u64) -> Emulator {
-    build_tz06(g, kappa, seed)
-}
-
-/// Crate-internal entry point behind the registry adapter (and the
-/// deprecated free-function shim).
+/// Crate-internal entry point behind the registry adapter: builds the
+/// TZ06 emulator with `κ` levels and sampling probability `n^(−1/κ)`,
+/// seeded for reproducibility.
 pub(crate) fn build_tz06(g: &Graph, kappa: u32, seed: u64) -> Emulator {
     let n = g.num_vertices();
     let mut emulator = Emulator::new(n);

@@ -238,7 +238,7 @@ fn main() {
         );
         // Worker leg: the same 4-shard layout with each shard's
         // explorations on its own channel worker; measures the wire
-        // traffic the process transport would pay.
+        // traffic the socket transport would pay.
         let (worker_runs, worker_speedup, _, worker_messages) = bench_algorithm(
             &g,
             algorithm,

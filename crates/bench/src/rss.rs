@@ -58,6 +58,10 @@ mod tests {
 
     const SAMPLE: &str = "Name:\ttest\nVmPeak:\t  123456 kB\nVmRSS:\t    4096 kB\nVmHWM:\t    8192 kB\nThreads:\t4\n";
 
+    /// The peak counter is process-global: tests that read it must not
+    /// overlap a test that resets it or grows it by a large allocation.
+    static PEAK_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn status_fields_parse_in_kb() {
         assert_eq!(parse_status_kb(SAMPLE, "VmHWM:"), Some(8192));
@@ -70,11 +74,21 @@ mod tests {
     #[test]
     #[cfg(target_os = "linux")]
     fn live_probes_are_consistent() {
+        let _guard = PEAK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let rss = current_rss_bytes().expect("linux exposes VmRSS");
         let peak = peak_rss_bytes().expect("linux exposes VmHWM");
         assert!(rss > 0);
         assert!(peak >= rss, "high-water mark below current RSS");
-        assert_eq!(peak_rss_mb().unwrap(), peak as f64 / (1024.0 * 1024.0));
+        // The MiB reading is a sample of its own, so it need not equal
+        // `peak`; while the lock is held nothing resets the peak, so the
+        // reading lies between the byte samples taken around it.
+        let mb = peak_rss_mb().expect("linux exposes VmHWM");
+        let after = peak_rss_bytes().expect("linux exposes VmHWM");
+        let mib = |b: u64| b as f64 / (1024.0 * 1024.0);
+        assert!(
+            mib(peak) <= mb && mb <= mib(after),
+            "{mb} MiB outside [{peak}, {after}] bytes"
+        );
     }
 
     #[test]
@@ -83,6 +97,7 @@ mod tests {
         // Touch 64 MiB and confirm the high-water mark saw it. The
         // reset is best-effort: containers may deny clear_refs, in
         // which case the pre-existing peak already exceeds the floor.
+        let _guard = PEAK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         reset_peak();
         let before = peak_rss_bytes().unwrap();
         let block = vec![1u8; 64 << 20];

@@ -5,7 +5,7 @@
 //! usnae run --algo <name> --input graph.txt [--output emulator.txt]
 //!       [--eps 0.5] [--kappa 4] [--rho 0.5] [--seed 0] [--threads 1]
 //!       [--shards 0] [--partition range|degree-balanced]
-//!       [--transport inproc|channel|process|socket]
+//!       [--transport inproc|channel|socket]
 //!       [--workers-addr host:port,host:port,...]
 //!       [--order by-id|by-id-desc|by-degree-desc|by-degree-asc]
 //!       [--raw-eps] [--report] [--cache DIR]
@@ -14,14 +14,11 @@
 //! usnae query --mapped snapshot.usnae --pairs pairs.txt [--landmarks K]
 //! usnae list
 //! usnae cache ls|clear|verify DIR
-//! usnae build ...            # legacy alias: --mode centralized|fast|spanner
 //! ```
 //!
 //! `run` dispatches through the unified algorithm registry
 //! ([`usnae_baselines::registry`]), so every paper construction *and* every
-//! baseline is reachable by name; `list` prints the catalogue. The older
-//! `build` subcommand with its three-valued `--mode` remains as an alias
-//! for the three original algorithms.
+//! baseline is reachable by name; `list` prints the catalogue.
 //!
 //! `--shards N` splits the input graph into `N` per-worker CSR shards
 //! (`--partition` picks the range or degree-balanced cut) and the
@@ -29,12 +26,12 @@
 //! shards; the built structure is byte-identical to the unsharded run and
 //! `--report` adds a per-shard layout line.
 //!
-//! `--transport channel|process|socket` (requires `--shards`) moves the
-//! sharded explorations to one worker per shard — OS threads with bounded
-//! channels, child `usnae-worker` processes speaking a checksummed binary
-//! protocol, or the same framed protocol over TCP (loopback children by
-//! default; `--workers-addr host:port,...` dials pre-started remote
-//! `usnae-worker --listen` processes, one address per shard) — still
+//! `--transport channel|socket` (requires `--shards`) moves the sharded
+//! explorations to one worker per shard — OS threads with bounded
+//! channels, or `usnae-worker` processes speaking a checksummed binary
+//! protocol over TCP (loopback children by default; `--workers-addr
+//! host:port,...` dials pre-started remote `usnae-worker --listen`
+//! processes, one address per shard) — still
 //! byte-identical to the in-process run; `--report` then adds a
 //! `transport:` line with the measured round/message/byte totals.
 //!
@@ -185,7 +182,7 @@ pub struct ServeOptions {
 /// The commands the binary understands.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Build one structure (the `run` and legacy `build` subcommands).
+    /// Build one structure (the `run` subcommand).
     Run(Options),
     /// Answer distance queries over a built structure.
     Query(QueryOptions),
@@ -213,7 +210,7 @@ impl std::error::Error for CliError {}
 pub const USAGE: &str = "usage: usnae run --algo <name> --input <edge-list> [--output <path>] \
 [--graph-file <csr-file>] \
 [--eps <0..1>] [--kappa <k>=4] [--rho <r>=0.5] [--seed <s>=0] [--threads <t>=1] \
-[--shards <k>=0] [--partition range|degree-balanced] [--transport inproc|channel|process|socket] \
+[--shards <k>=0] [--partition range|degree-balanced] [--transport inproc|channel|socket] \
 [--workers-addr <host:port,...>] \
 [--order by-id|by-id-desc|by-degree-desc|by-degree-asc] [--raw-eps] [--report] [--cache <dir>]\n\
        usnae query --algo <name> --input <edge-list> --pairs <pairs-file> \
@@ -225,7 +222,6 @@ pub const USAGE: &str = "usage: usnae run --algo <name> --input <edge-list> [--o
        usnae serve --socket <path> --stats|--stop\n\
        usnae list\n\
        usnae cache ls|clear|verify <dir>\n\
-       usnae build --input <edge-list> [--mode centralized|fast|spanner] [...]\n\
 run `usnae list` for the algorithm catalogue";
 
 fn parse_order(s: &str) -> Option<ProcessingOrder> {
@@ -247,13 +243,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     #[derive(PartialEq)]
     enum Mode {
         Run,
-        LegacyBuild,
         Query,
     }
     let mut it = args.iter();
     let mode = match it.next().map(String::as_str) {
         Some("run") => Mode::Run,
-        Some("build") => Mode::LegacyBuild,
         Some("query") => Mode::Query,
         Some("list") => {
             if let Some(extra) = it.next() {
@@ -379,7 +373,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     .parse()
                     .map_err(|_| CliError("--landmarks must be an integer".into()))?;
             }
-            "--algo" if mode != Mode::LegacyBuild => {
+            "--algo" => {
                 let v = value("--algo")?;
                 if registry::find(&v).is_none() {
                     return Err(CliError(format!(
@@ -388,15 +382,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     )));
                 }
                 opts.algo = v;
-            }
-            "--mode" if mode == Mode::LegacyBuild => {
-                let v = value("--mode")?;
-                opts.algo = match v.as_str() {
-                    "centralized" => "centralized".to_string(),
-                    "fast" => "fast-centralized".to_string(),
-                    "spanner" => "spanner".to_string(),
-                    _ => return Err(CliError(format!("unknown mode {v:?}\n{USAGE}"))),
-                };
             }
             "--input" => opts.input = value("--input")?,
             "--output" => opts.output = Some(value("--output")?),
@@ -456,7 +441,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             "--raw-eps" => opts.config.raw_epsilon = true,
             "--report" => opts.report = true,
             "--cache" => opts.cache_dir = Some(value("--cache")?),
-            "--connect" if mode != Mode::LegacyBuild => {
+            "--connect" => {
                 opts.connect = Some(value("--connect")?);
             }
             other => return Err(CliError(format!("unknown flag {other:?}\n{USAGE}"))),
@@ -617,8 +602,8 @@ pub fn execute_query(qopts: &QueryOptions) -> Result<Vec<String>, CliError> {
         // Warm-hit fast path: when the cached entry is a codec-v4
         // snapshot, serve its emulator CSR section zero-copy instead of
         // decoding the record stream into a heap build. Anything that
-        // doesn't map cleanly (legacy v2/v3 entry, cold cache, key
-        // drift) falls back to the ordinary cached build.
+        // doesn't map cleanly (entry of another codec version, cold
+        // cache, key drift) falls back to the ordinary cached build.
         let mapped_engine = opts.cache_dir.as_ref().and_then(|dir| {
             let construction = registry::find(&opts.algo)?;
             let key = CacheKey::new(&g, construction.name(), &opts.config);
@@ -1263,13 +1248,13 @@ mod tests {
             parse_args(&args("run --input g.txt --shards 2 --transport channel")).unwrap(),
         );
         assert_eq!(o.config.transport, TransportKind::Channel);
-        let o = run_opts(
-            parse_args(&args("run --input g.txt --shards 2 --transport process")).unwrap(),
-        );
-        assert_eq!(o.config.transport, TransportKind::Process);
+        let o =
+            run_opts(parse_args(&args("run --input g.txt --shards 2 --transport socket")).unwrap());
+        assert_eq!(o.config.transport, TransportKind::Socket);
         let default = run_opts(parse_args(&args("run --input g.txt")).unwrap());
         assert_eq!(default.config.transport, TransportKind::Inproc);
         assert!(parse_args(&args("run --input g.txt --transport carrier-pigeon")).is_err());
+        assert!(parse_args(&args("run --input g.txt --shards 2 --transport process")).is_err());
         // A worker transport without shards parses but fails validation
         // at build time.
         let g = usnae_graph::generators::path(6).unwrap();
@@ -1293,7 +1278,7 @@ mod tests {
         );
         // The address list requires the socket transport: every other
         // transport has no remote end to dial.
-        for transport in ["inproc", "channel", "process"] {
+        for transport in ["inproc", "channel"] {
             let err = parse_args(&args(&format!(
                 "run --input g.txt --shards 2 --transport {transport} --workers-addr h:1"
             )))
@@ -1355,19 +1340,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_build_modes_map_to_registry_names() {
-        for (mode, algo) in [
-            ("centralized", "centralized"),
-            ("fast", "fast-centralized"),
-            ("spanner", "spanner"),
-        ] {
-            let o =
-                run_opts(parse_args(&args(&format!("build --input g.txt --mode {mode}"))).unwrap());
-            assert_eq!(o.algo, algo);
-        }
-    }
-
-    #[test]
     fn defaults_applied() {
         let o = run_opts(parse_args(&args("run --input g.txt")).unwrap());
         assert_eq!(o.algo, "centralized");
@@ -1380,11 +1352,11 @@ mod tests {
         assert!(parse_args(&args("frobnicate")).is_err());
         assert!(parse_args(&args("run")).is_err()); // missing --input
         assert!(parse_args(&args("run --input g.txt --algo nope")).is_err());
-        assert!(parse_args(&args("build --input g.txt --mode nope")).is_err());
         assert!(parse_args(&args("run --input g.txt --kappa banana")).is_err());
         assert!(parse_args(&args("run --input g.txt --order sideways")).is_err());
         assert!(parse_args(&args("run --input")).is_err()); // dangling value
-        assert!(parse_args(&args("build --input g.txt --algo tz06")).is_err()); // legacy has no --algo
+        assert!(parse_args(&args("build --input g.txt --mode spanner")).is_err());
+        // `run --algo` only
     }
 
     #[test]

@@ -93,7 +93,7 @@
 //! # Distributed execution
 //!
 //! [`EmulatorBuilder::transport`] (CLI: `usnae run --transport
-//! {inproc,channel,process}`) moves the sharded exploration phases from
+//! {inproc,channel,socket}`) moves the sharded exploration phases from
 //! the in-process fan-out to a **worker pool**: one worker per CSR shard,
 //! each owning its shard's adjacency and answering typed frontier
 //! messages through a [`TransportKind`] —
@@ -102,9 +102,10 @@
 //!   the layout directly, as in a plain partitioned build.
 //! * [`TransportKind::Channel`] — one OS thread per shard, bounded
 //!   channels, a deterministic round barrier.
-//! * [`TransportKind::Process`] — one child process per shard speaking a
-//!   length-prefixed, checksummed binary protocol over stdin/stdout (the
-//!   `usnae-worker` binary; see `usnae_workers`).
+//! * [`TransportKind::Socket`] — one TCP connection per shard speaking a
+//!   length-prefixed, checksummed binary protocol to a `usnae-worker
+//!   --listen` process: loopback children by default, pre-started remote
+//!   workers via `USNAE_WORKERS_ADDR` (see `usnae_workers`).
 //!
 //! A worker transport requires a partitioned layout (`shards >= 1`;
 //! validated as [`ParamError::TransportNeedsShards`](crate::error::ParamError)).

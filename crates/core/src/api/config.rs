@@ -126,7 +126,7 @@ pub struct BuildConfig {
     pub partition: PartitionPolicy,
     /// Execution substrate for the sharded exploration phases:
     /// [`TransportKind::Inproc`] (default) runs the in-process fan-out;
-    /// `Channel`/`Process` move each shard's work to its owning worker
+    /// `Channel`/`Socket` move each shard's work to its owning worker
     /// (requires `shards >= 1`) and record measured
     /// [`MessageStats`](crate::api::MessageStats). Output is
     /// byte-identical for every transport.
@@ -486,7 +486,7 @@ mod tests {
 
     #[test]
     fn worker_transports_require_a_partitioned_layout() {
-        for kind in [TransportKind::Channel, TransportKind::Process] {
+        for kind in [TransportKind::Channel, TransportKind::Socket] {
             let unsharded = BuildConfig {
                 transport: kind,
                 ..BuildConfig::default()

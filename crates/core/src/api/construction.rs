@@ -61,7 +61,7 @@ pub enum BuildError {
     /// degrade to a rebuild instead of erroring).
     Cache(crate::cache::SnapshotError),
     /// A worker-pool build (`BuildConfig::transport` =
-    /// channel/process/socket) failed: the pool could not be spawned, a
+    /// channel/socket) failed: the pool could not be spawned, a
     /// worker died or sent a
     /// corrupt frame mid-build, or shutdown was unclean. The phases fall
     /// back in-process, but the requested worker build did not happen, so

@@ -401,7 +401,6 @@ mod tests {
         for c in [&Distributed as &dyn Construction, &DistributedSpanner] {
             for transport in [
                 usnae_workers::TransportKind::Channel,
-                usnae_workers::TransportKind::Process,
                 usnae_workers::TransportKind::Socket,
             ] {
                 let cfg = BuildConfig {

@@ -55,21 +55,16 @@ use usnae_graph::{ByteMap, Dist, Graph, StorageError, VertexId, WeightedEdge};
 /// Snapshot file magic: identifies the format before any parsing.
 pub const MAGIC: &[u8; 8] = b"USNAESNP";
 
-/// Current codec version. Bump on any layout change; old files then fail
-/// with [`SnapshotError::UnsupportedVersion`] instead of misparsing.
-/// (v2 added the per-shard timing section of partitioned builds; v3 added
-/// the transport byte and the measured [`MessageStats`] of worker-pool
-/// builds; v4 restructured the file into a **section directory** — five
-/// 8-aligned sections located by an offset/length table right after the
-/// header — and added the [`SECTION_EMU_CSR`] weighted-CSR image of the
-/// emulator, so a snapshot can be indexed and served ([`MappedSnapshot`],
-/// [`MappedEmulator`]) without decoding the record stream. v2/v3 files
-/// remain readable: v2's transport decodes as `inproc` with no message
-/// stats.)
+/// The codec version, the only one this binary writes and reads. Bump on
+/// any layout change; files of any other version then fail with
+/// [`SnapshotError::UnsupportedVersion`] instead of misparsing, and the
+/// cache treats them as a miss and rebuilds. Version 4 is a **section
+/// directory** — five 8-aligned sections located by an offset/length
+/// table right after the header — including the [`SECTION_EMU_CSR`]
+/// weighted-CSR image of the emulator, so a snapshot can be indexed and
+/// served ([`MappedSnapshot`], [`MappedEmulator`]) without decoding the
+/// record stream.
 pub const VERSION: u32 = 4;
-
-/// Oldest codec version [`Snapshot::decode`] still reads.
-pub const MIN_VERSION: u32 = 2;
 
 /// v4 section id: cache key (graph fingerprint, config digest, algorithm).
 pub const SECTION_KEY: u64 = 1;
@@ -489,8 +484,8 @@ fn read_congest(r: &mut Reader) -> Result<Option<CongestStats>, SnapshotError> {
     }
 }
 
-/// Threads, wall clock, per-phase and per-shard timings — the stats head
-/// every codec version shares.
+/// Threads, wall clock, per-phase and per-shard timings — the head of the
+/// STATS section.
 fn write_core_stats(w: &mut Writer, stats: &BuildStats) {
     w.u64(stats.threads as u64);
     w.u64(stats.total.as_nanos().min(u128::from(u64::MAX)) as u64);
@@ -539,7 +534,8 @@ fn read_core_stats(
     Ok((threads, total, phases, shards))
 }
 
-/// The transport byte plus measured message stats (v3 and later).
+/// The transport byte plus measured message stats — the tail of the STATS
+/// section.
 fn write_transport_stats(w: &mut Writer, stats: &BuildStats) {
     w.u8(stats.transport.code());
     match &stats.messages {
@@ -757,52 +753,12 @@ impl Snapshot {
         }
     }
 
-    /// Serializes to the version-4 wire format: section directory, five
-    /// 8-aligned sections, trailing FNV-64 checksum over everything before
-    /// it.
+    /// Serializes to the version-4 wire format: `MAGIC | version | section
+    /// count | directory (id, offset, length per section) | sections |
+    /// checksum`, every section starting on an 8-byte boundary so the
+    /// all-`u64` [`SECTION_EMU_CSR`] payload is alignment-safe under mmap,
+    /// and the trailing FNV-64 checksum covering everything before it.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_version(VERSION)
-    }
-
-    /// [`encode`](Self::encode) pinned to an older readable version —
-    /// kept so the forward-compat suite can produce genuine old files.
-    /// Versions below [`MIN_VERSION`] are not encodable.
-    pub fn encode_version(&self, version: u32) -> Vec<u8> {
-        assert!(
-            (MIN_VERSION..=VERSION).contains(&version),
-            "cannot encode codec version {version}"
-        );
-        if version >= 4 {
-            return self.encode_v4();
-        }
-        // v2/v3: one sequential stream, no directory.
-        let mut w = Writer::new();
-        w.bytes(MAGIC);
-        w.u32(version);
-        w.u64(self.key.graph_fingerprint);
-        w.u64(self.key.config_digest);
-        w.u32(self.key.algorithm.len() as u32);
-        w.bytes(self.key.algorithm.as_bytes());
-        w.u64(self.stream_fingerprint);
-        w.u64(self.num_vertices as u64);
-        write_records(&mut w, &self.records);
-        write_certified(&mut w, self.certified);
-        opt_f64(&mut w, self.size_bound);
-        write_congest(&mut w, &self.congest);
-        write_core_stats(&mut w, &self.stats);
-        if version >= 3 {
-            // v3: the transport the build ran on plus its measured message
-            // statistics (worker-pool builds only).
-            write_transport_stats(&mut w, &self.stats);
-        }
-        w.finish()
-    }
-
-    /// The v4 layout: `MAGIC | version | section count | directory
-    /// (id, offset, length per section) | sections | checksum`, every
-    /// section starting on an 8-byte boundary so the all-`u64`
-    /// [`SECTION_EMU_CSR`] payload is alignment-safe under mmap.
-    fn encode_v4(&self) -> Vec<u8> {
         let mut key = Writer::new();
         key.u64(self.key.graph_fingerprint);
         key.u64(self.key.config_digest);
@@ -828,7 +784,7 @@ impl Snapshot {
         let bodies = [key.buf, meta.buf, records.buf, stats.buf, emu];
         let mut w = Writer::new();
         w.bytes(MAGIC);
-        w.u32(4);
+        w.u32(VERSION);
         w.u32(SECTION_IDS.len() as u32);
         let mut starts = [0usize; 5];
         let mut offset = V4_HEADER + SECTION_IDS.len() * DIR_ENTRY;
@@ -872,7 +828,7 @@ impl Snapshot {
             return Err(SnapshotError::BadMagic);
         }
         let version = r.u32()?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
                 supported: VERSION,
@@ -889,11 +845,7 @@ impl Snapshot {
                 computed,
             });
         }
-        let snap = if version >= 4 {
-            Self::decode_v4(content)?
-        } else {
-            Self::decode_legacy(content, version)?
-        };
+        let snap = Self::decode_sections(content)?;
         let recomputed = stream_fingerprint(&snap.records);
         if recomputed != snap.stream_fingerprint {
             return Err(SnapshotError::FingerprintMismatch {
@@ -904,61 +856,11 @@ impl Snapshot {
         Ok(snap)
     }
 
-    /// v2/v3: one sequential stream past magic+version.
-    fn decode_legacy(content: &[u8], version: u32) -> Result<Snapshot, SnapshotError> {
-        let mut r = Reader::new(content);
-        r.take(MAGIC.len() + 4)?;
-        let graph_fingerprint = r.u64()?;
-        let config_digest = r.u64()?;
-        let name_len = r.u32()? as usize;
-        let algorithm =
-            String::from_utf8(r.take(name_len)?.to_vec()).map_err(|_| SnapshotError::Corrupt {
-                reason: "algorithm name is not UTF-8".into(),
-            })?;
-        let stream_fp = r.u64()?;
-        let num_vertices = r.u64()? as usize;
-        let records = read_records(&mut r, num_vertices)?;
-        let certified = read_certified(&mut r)?;
-        let size_bound = read_opt_f64(&mut r)?;
-        let congest = read_congest(&mut r)?;
-        let (threads, total, phases, shards) = read_core_stats(&mut r)?;
-        // v3 tail; v2 files predate worker transports, so they ran inproc
-        // with no message exchange.
-        let (transport, messages) = if version >= 3 {
-            read_transport_stats(&mut r)?
-        } else {
-            (TransportKind::Inproc, None)
-        };
-        section_end(&r, "declared")?;
-        Ok(Snapshot {
-            key: CacheKey {
-                graph_fingerprint,
-                algorithm,
-                config_digest,
-            },
-            stream_fingerprint: stream_fp,
-            num_vertices,
-            records,
-            certified,
-            size_bound,
-            congest,
-            stats: BuildStats {
-                threads,
-                total,
-                phases,
-                shards,
-                transport,
-                messages,
-                cache: CacheStatus::Miss,
-            },
-        })
-    }
-
-    /// v4: locate every section through the directory, decode each, and
-    /// byte-compare the stored [`SECTION_EMU_CSR`] against a recomputation
+    /// Locates every section through the directory, decodes each, and
+    /// byte-compares the stored [`SECTION_EMU_CSR`] against a recomputation
     /// from the records — a served section that drifted from the stream it
     /// claims to index is corruption, not a quirk.
-    fn decode_v4(content: &[u8]) -> Result<Snapshot, SnapshotError> {
+    fn decode_sections(content: &[u8]) -> Result<Snapshot, SnapshotError> {
         let table = parse_directory(content)?;
 
         let mut r = Reader::new(&content[table.key.clone()]);
@@ -1071,9 +973,9 @@ fn storage_to_snapshot_error(e: StorageError) -> SnapshotError {
 /// verifies the whole-file checksum, parses the small KEY/META sections,
 /// and structurally validates the [`SECTION_EMU_CSR`] index (monotone
 /// offsets, in-range neighbors) so later reads can never go out of
-/// bounds — but the record stream is never materialized. v2/v3 files are
-/// refused with [`SnapshotError::UnsupportedVersion`]; decode them with
-/// [`Snapshot::decode`] instead.
+/// bounds — but the record stream is never materialized. Files of any
+/// other codec version are refused with
+/// [`SnapshotError::UnsupportedVersion`].
 #[derive(Debug)]
 pub struct MappedSnapshot {
     map: ByteMap,
@@ -1096,8 +998,8 @@ impl MappedSnapshot {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::UnsupportedVersion`] for pre-v4 files (they carry
-    /// no section directory), otherwise any integrity failure of the
+    /// [`SnapshotError::UnsupportedVersion`] for files of any other codec
+    /// version, otherwise any integrity failure of the
     /// header, checksum, directory, or the served sections.
     pub fn open(path: impl Into<PathBuf>) -> Result<Self, SnapshotError> {
         let path = path.into();
@@ -1817,7 +1719,7 @@ impl EvictingCache {
     /// Opens the entry for `key` as a zero-copy [`MappedSnapshot`]
     /// (structural validation only — no record decode), refreshing its
     /// recency. `Ok(None)` is a clean miss; a present-but-unmappable
-    /// entry (legacy v2/v3 codec, corruption) also counts as a miss so
+    /// entry (another codec version, corruption) also counts as a miss so
     /// the caller rebuilds read-through.
     ///
     /// # Errors
@@ -2054,32 +1956,26 @@ mod tests {
     }
 
     #[test]
-    fn v2_snapshots_remain_readable_without_worker_stats() {
-        // A genuine version-2 file (pre-transport codec): everything
-        // round-trips except the v3 tail, which decodes to its v2
-        // defaults — transport `inproc`, no message stats.
+    fn retired_transport_code_is_corrupt() {
+        // Code 2 belonged to a removed transport: a stored 2 must be a
+        // typed error, not a guess at what ran.
         let (_, out, key) = worker_output();
         let snap = Snapshot::from_output(key, &out);
-        let v2 = snap.encode_version(2);
-        assert_eq!(v2[8], 2, "version byte is little-endian 2");
-        let decoded = Snapshot::decode(&v2).unwrap();
-        assert_eq!(decoded.stats.transport, TransportKind::Inproc);
-        assert_eq!(decoded.stats.messages, None);
-        assert_eq!(decoded.records, snap.records);
-        assert_eq!(decoded.stream_fingerprint, snap.stream_fingerprint);
-        assert_eq!(decoded.stats.shards, snap.stats.shards);
-        assert_eq!(
-            decoded.rebuild_emulator().provenance(),
-            out.emulator.provenance()
-        );
-    }
-
-    #[test]
-    fn encoding_below_min_version_is_refused() {
-        let (_, out, key) = sample_output();
-        let snap = Snapshot::from_output(key, &out);
-        let err = std::panic::catch_unwind(|| snap.encode_version(MIN_VERSION - 1));
-        assert!(err.is_err(), "v1 is not encodable");
+        let mut bytes = snap.encode();
+        let at = V4_HEADER + 3 * DIR_ENTRY + 8;
+        let stats_off = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let mut head = Writer::new();
+        write_core_stats(&mut head, &snap.stats);
+        let code_at = stats_off + head.buf.len();
+        assert_eq!(bytes[code_at], TransportKind::Channel.code());
+        bytes[code_at] = 2;
+        repatch_checksum(&mut bytes);
+        match Snapshot::decode(&bytes) {
+            Err(SnapshotError::Corrupt { reason }) => {
+                assert!(reason.contains("transport byte 2"), "{reason}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]
@@ -2126,18 +2022,6 @@ mod tests {
         h.write_bytes(&bytes[..body]);
         let sum = h.finish().to_le_bytes();
         bytes[body..].copy_from_slice(&sum);
-    }
-
-    #[test]
-    fn v3_snapshots_round_trip_fully() {
-        // v3 (pre-directory) carries everything v4 does except the
-        // emulator CSR section; the decoded value is identical.
-        let (_, out, key) = worker_output();
-        let snap = Snapshot::from_output(key, &out);
-        let v3 = snap.encode_version(3);
-        assert_eq!(v3[8], 3, "version byte is little-endian 3");
-        let decoded = Snapshot::decode(&v3).unwrap();
-        assert_eq!(decoded, snap);
     }
 
     #[test]
@@ -2264,12 +2148,18 @@ mod tests {
         let (_, out, key) = sample_output();
         let snap = Snapshot::from_output(key, &out);
 
-        // Pre-v4 files have no directory to serve from.
-        let v3_path = dir.join("v3.usnae");
-        std::fs::write(&v3_path, snap.encode_version(3)).unwrap();
+        // A file claiming another codec version is refused before any
+        // section is read.
+        let mut old = snap.encode();
+        old[8] = 3;
+        let old_path = dir.join("v3.usnae");
+        std::fs::write(&old_path, &old).unwrap();
         assert!(matches!(
-            MappedSnapshot::open(&v3_path),
-            Err(SnapshotError::UnsupportedVersion { found: 3, .. })
+            MappedSnapshot::open(&old_path),
+            Err(SnapshotError::UnsupportedVersion {
+                found: 3,
+                supported: VERSION
+            })
         ));
 
         // Bit rot anywhere fails the open-time checksum.

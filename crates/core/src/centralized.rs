@@ -117,31 +117,7 @@ impl BuildTrace {
     }
 }
 
-/// Builds a `(1+ε, β)`-emulator with at most `n^(1+1/κ)` edges
-/// (Corollary 2.14), processing centers by ascending id.
-#[deprecated(
-    since = "0.2.0",
-    note = "use usnae_core::api::EmulatorBuilder with Algorithm::Centralized instead"
-)]
-pub fn build_emulator(g: &Graph, params: &CentralizedParams) -> Emulator {
-    build_centralized(g, params, ProcessingOrder::ById).0
-}
-
-/// [`build_emulator`] with an explicit processing order and a full
-/// [`BuildTrace`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use usnae_core::api::EmulatorBuilder with .order(..).traced(true) instead"
-)]
-pub fn build_emulator_traced(
-    g: &Graph,
-    params: &CentralizedParams,
-    order: ProcessingOrder,
-) -> (Emulator, BuildTrace) {
-    build_centralized(g, params, order)
-}
-
-/// Crate-internal sequential entry point (tests, oracle, hopset):
+/// Crate-internal sequential entry point (oracle, tests):
 /// [`build_centralized_exec`] with one thread, timings dropped.
 pub(crate) fn build_centralized(
     g: &Graph,
@@ -153,7 +129,8 @@ pub(crate) fn build_centralized(
 }
 
 /// Crate-internal entry point behind [`crate::api::EmulatorBuilder`]: runs
-/// Algorithm 1 end to end, sharding the per-center explorations over
+/// Algorithm 1 end to end — a `(1+ε, β)`-emulator with at most
+/// `n^(1+1/κ)` edges (Corollary 2.14) — sharding the per-center explorations over
 /// `engine.threads()` and recording per-phase wall-clock timings. The
 /// explorations run through the [`Engine`] — the in-process fan-out over
 /// the shared array or CSR shards, or a worker pool exchanging typed

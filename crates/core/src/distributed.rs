@@ -34,6 +34,4 @@ pub mod ruling;
 pub mod spanner_driver;
 pub mod supercluster;
 
-#[allow(deprecated)]
-pub use driver::build_emulator_distributed;
 pub use driver::{DistributedBuild, DistributedPhaseTrace};

@@ -82,25 +82,13 @@ pub struct DistributedBuild {
     pub timings: Vec<PhaseTiming>,
 }
 
-/// Runs the full distributed construction of §3 on `g`.
+/// Crate-internal entry point behind [`crate::api::EmulatorBuilder`]: runs
+/// the §3 CONGEST pipeline end to end on `g`.
 ///
 /// # Errors
 ///
 /// Propagates [`CongestError`] from the simulator (contract violations or
 /// an exhausted round budget — both indicate bugs, not bad inputs).
-#[deprecated(
-    since = "0.2.0",
-    note = "use usnae_core::api::EmulatorBuilder with Algorithm::Distributed instead"
-)]
-pub fn build_emulator_distributed(
-    g: &Graph,
-    params: &DistributedParams,
-) -> Result<DistributedBuild, CongestError> {
-    build_distributed(g, params)
-}
-
-/// Crate-internal entry point behind [`crate::api::EmulatorBuilder`] (and the
-/// deprecated free-function shim): runs the §3 CONGEST pipeline end to end.
 pub(crate) fn build_distributed(
     g: &Graph,
     params: &DistributedParams,

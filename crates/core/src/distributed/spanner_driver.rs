@@ -65,24 +65,12 @@ pub struct DistributedSpannerBuild {
     pub timings: Vec<PhaseTiming>,
 }
 
-/// Runs the §4 spanner construction distributedly on `g`.
+/// Crate-internal entry point behind [`crate::api::EmulatorBuilder`]: runs
+/// the §4 spanner construction distributedly on `g`, on the simulator.
 ///
 /// # Errors
 ///
 /// Propagates [`CongestError`] from the simulator.
-#[deprecated(
-    since = "0.2.0",
-    note = "use usnae_core::api::EmulatorBuilder with Algorithm::DistributedSpanner instead"
-)]
-pub fn build_spanner_distributed(
-    g: &Graph,
-    params: &SpannerParams,
-) -> Result<DistributedSpannerBuild, CongestError> {
-    build_spanner_congest(g, params)
-}
-
-/// Crate-internal entry point behind [`crate::api::EmulatorBuilder`] (and the
-/// deprecated free-function shim): runs the §4 pipeline on the simulator.
 pub(crate) fn build_spanner_congest(
     g: &Graph,
     params: &SpannerParams,

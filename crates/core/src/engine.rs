@@ -9,7 +9,7 @@
 //! * **Inproc** (the default): the primitives run against the build's
 //!   [`GraphView`] via the `usnae_graph::par` fan-out — the shared
 //!   adjacency array or local CSR shards, exactly as before.
-//! * **Channel / Process** ([`TransportKind`]): the engine spawns a
+//! * **Channel / Socket** ([`TransportKind`]): the engine spawns a
 //!   [`WorkerPool`] over the partitioned layout and ships each shard's
 //!   work to its owning worker, exchanging cut-edge frontiers as typed
 //!   messages. The pool's rank protocol reproduces the sequential FIFO
@@ -466,7 +466,7 @@ mod tests {
         // The only test in this binary touching the worker-bin env var, so
         // no cross-test race.
         let g = generators::path(16).unwrap();
-        let cfg = config(TransportKind::Process, 2);
+        let cfg = config(TransportKind::Socket, 2);
         let previous = std::env::var_os(usnae_workers::process::WORKER_BIN_ENV);
         std::env::set_var(
             usnae_workers::process::WORKER_BIN_ENV,

@@ -76,7 +76,7 @@ pub struct BuildStats {
     /// ([`TransportKind::Inproc`] for the shared in-process fan-out).
     pub transport: TransportKind,
     /// **Measured** message statistics of a worker-pool build (`Some` only
-    /// when `transport` is channel/process/socket on a sharded
+    /// when `transport` is channel/socket on a sharded
     /// construction): exchange rounds driven, frontier messages and bytes
     /// per shard pair — including the round-end shipping of the output
     /// stream to the workers' retained partitions and the lazy fetch that

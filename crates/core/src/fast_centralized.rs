@@ -25,7 +25,7 @@ use crate::engine::Engine;
 use crate::exec::{PhaseClock, PhaseTiming};
 use crate::params::DistributedParams;
 use usnae_graph::bfs::multi_source_bfs;
-use usnae_graph::{AdjStorage, Dist, Graph, GraphCore, VertexId};
+use usnae_graph::{AdjStorage, Dist, GraphCore, VertexId};
 
 /// Per-phase statistics of a fast-centralized build.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,40 +61,13 @@ pub struct FastBuildTrace {
     pub partitions: Vec<Partition>,
 }
 
-/// Builds a `(1+ε, β)`-emulator with ≤ `n^(1+1/κ)` edges in
-/// `O(|E|·β·n^ρ)`-style time (Theorem 3.13).
-#[deprecated(
-    since = "0.2.0",
-    note = "use usnae_core::api::EmulatorBuilder with Algorithm::FastCentralized instead"
-)]
-pub fn build_emulator_fast(g: &Graph, params: &DistributedParams) -> Emulator {
-    build_fast(g, params).0
-}
-
-/// [`build_emulator_fast`] with a full [`FastBuildTrace`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use usnae_core::api::EmulatorBuilder with .traced(true) instead"
-)]
-pub fn build_emulator_fast_traced(
-    g: &Graph,
-    params: &DistributedParams,
-) -> (Emulator, FastBuildTrace) {
-    build_fast(g, params)
-}
-
-/// Crate-internal sequential entry point (tests): [`build_fast_exec`] with
-/// one thread, timings dropped.
-pub(crate) fn build_fast(g: &Graph, params: &DistributedParams) -> (Emulator, FastBuildTrace) {
-    let (emulator, trace, _) = build_fast_exec(g, params, &Engine::inproc(g, 1));
-    (emulator, trace)
-}
-
 /// Crate-internal entry point behind [`crate::api::EmulatorBuilder`]: runs
-/// the §3.3 simulation end to end, sharding the Task-1 per-center scans
-/// over `engine.threads()` and recording per-phase timings. The per-center
-/// scans and the ruling-set ball carving run through the [`Engine`] — the
-/// in-process fan-out or a worker pool, byte-identical either way.
+/// the §3.3 simulation end to end — a `(1+ε, β)`-emulator with ≤
+/// `n^(1+1/κ)` edges in `O(|E|·β·n^ρ)`-style time (Theorem 3.13) —
+/// sharding the Task-1 per-center scans over `engine.threads()` and
+/// recording per-phase timings. The per-center scans and the ruling-set
+/// ball carving run through the [`Engine`] — the in-process fan-out or a
+/// worker pool, byte-identical either way.
 pub(crate) fn build_fast_exec<S: AdjStorage>(
     g: &GraphCore<S>,
     params: &DistributedParams,
@@ -286,6 +259,13 @@ mod tests {
     use crate::verify::audit_stretch;
     use usnae_graph::distance::sample_pairs;
     use usnae_graph::generators;
+    use usnae_graph::Graph;
+
+    /// The sequential in-process build, timings dropped.
+    fn build_fast(g: &Graph, params: &DistributedParams) -> (Emulator, FastBuildTrace) {
+        let (emulator, trace, _) = build_fast_exec(g, params, &Engine::inproc(g, 1));
+        (emulator, trace)
+    }
 
     fn params(eps: f64, kappa: u32, rho: f64) -> DistributedParams {
         DistributedParams::new(eps, kappa, rho).unwrap()

@@ -22,7 +22,7 @@ use crate::engine::Engine;
 use crate::exec::{PhaseClock, PhaseTiming};
 use crate::params::SpannerParams;
 use usnae_graph::bfs::multi_source_bfs;
-use usnae_graph::{AdjStorage, Dist, Graph, GraphCore, VertexId};
+use usnae_graph::{AdjStorage, Dist, GraphCore, VertexId};
 
 use crate::sai::Exploration;
 
@@ -60,37 +60,13 @@ pub struct SpannerTrace {
     pub partitions: Vec<Partition>,
 }
 
-/// Builds a `(1+ε, β)`-spanner with `O(n^(1+1/κ))` edges (Corollary 4.4).
-///
-/// The result is a subgraph of `G`: every edge has weight 1 and exists in
-/// `G` ([`crate::verify::is_subgraph_spanner`] certifies this).
-#[deprecated(
-    since = "0.2.0",
-    note = "use usnae_core::api::EmulatorBuilder with Algorithm::Spanner instead"
-)]
-pub fn build_spanner(g: &Graph, params: &SpannerParams) -> Emulator {
-    build_spanner_impl(g, params).0
-}
-
-/// [`build_spanner`] with a full [`SpannerTrace`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use usnae_core::api::EmulatorBuilder with .traced(true) instead"
-)]
-pub fn build_spanner_traced(g: &Graph, params: &SpannerParams) -> (Emulator, SpannerTrace) {
-    build_spanner_impl(g, params)
-}
-
-/// Crate-internal sequential entry point (tests, shims):
-/// [`build_spanner_exec`] with one thread, timings dropped.
-pub(crate) fn build_spanner_impl(g: &Graph, params: &SpannerParams) -> (Emulator, SpannerTrace) {
-    let (spanner, trace, _) = build_spanner_exec(g, params, &Engine::inproc(g, 1));
-    (spanner, trace)
-}
-
 /// Crate-internal entry point behind [`crate::api::EmulatorBuilder`]: runs
 /// the §4 construction end to end, sharding the Task-1 explorations over
 /// `engine.threads()` and recording per-phase timings.
+///
+/// The result is a `(1+ε, β)`-spanner with `O(n^(1+1/κ))` edges
+/// (Corollary 4.4) and a subgraph of `G`: every edge has weight 1 and
+/// exists in `G` ([`crate::verify::is_subgraph_spanner`] certifies this).
 pub(crate) fn build_spanner_exec<S: AdjStorage>(
     g: &GraphCore<S>,
     params: &SpannerParams,
@@ -272,6 +248,13 @@ mod tests {
     use crate::verify::{audit_stretch, is_subgraph_spanner};
     use usnae_graph::distance::sample_pairs;
     use usnae_graph::generators;
+    use usnae_graph::Graph;
+
+    /// The sequential in-process build, timings dropped.
+    fn build_spanner_impl(g: &Graph, params: &SpannerParams) -> (Emulator, SpannerTrace) {
+        let (spanner, trace, _) = build_spanner_exec(g, params, &Engine::inproc(g, 1));
+        (spanner, trace)
+    }
 
     fn params(eps: f64, kappa: u32, rho: f64) -> SpannerParams {
         SpannerParams::new(eps, kappa, rho).unwrap()

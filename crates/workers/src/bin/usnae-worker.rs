@@ -3,14 +3,12 @@
 //! for any protocol violation — the driver's teardown path turns that
 //! into a typed `WorkerExited` error.
 //!
-//! Two serve modes over the same loop:
-//!
-//! * default — frames over stdin/stdout (the process transport);
-//! * `--listen ADDR` — bind a TCP listener (`127.0.0.1:0` for an
-//!   ephemeral loopback port), announce the bound address on stdout as
-//!   `USNAE-WORKER LISTEN <addr>`, accept one connection, and serve
-//!   frames over it (the socket transport; also the entry point for
-//!   pre-started remote workers behind `--workers-addr`).
+//! `usnae-worker --listen ADDR` binds a TCP listener (`127.0.0.1:0` for
+//! an ephemeral loopback port), announces the bound address on stdout as
+//! `USNAE-WORKER LISTEN <addr>`, accepts one connection, and serves
+//! frames over it — the socket transport's loopback children and the
+//! pre-started remote workers behind `--workers-addr` alike. Any other
+//! invocation, including none, is a usage error.
 //!
 //! # Fault injection
 //!
@@ -82,8 +80,8 @@ fn serve(input: &mut impl Read, output: &mut impl Write) -> Result<(), WorkerErr
     let mut worker = worker;
     loop {
         let req = match read_request(input)? {
-            // Clean EOF at a frame boundary: driver closed our pipe or
-            // socket after (or instead of) a graceful shutdown.
+            // Clean EOF at a frame boundary: driver closed our socket
+            // after (or instead of) a graceful shutdown.
             None => return Ok(()),
             Some(req) => req,
         };
@@ -118,16 +116,9 @@ fn serve_listener(addr: &str) -> Result<(), WorkerError> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.as_slice() {
-        [] => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            let mut stdin = stdin.lock();
-            let mut stdout = stdout.lock();
-            serve(&mut stdin, &mut stdout)
-        }
         [flag, addr] if flag == "--listen" => serve_listener(addr),
         _ => Err(WorkerError::Corrupt {
-            reason: format!("usage: usnae-worker [--listen ADDR], got {args:?}"),
+            reason: format!("usage: usnae-worker --listen ADDR, got {args:?}"),
         }),
     };
     match result {

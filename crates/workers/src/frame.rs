@@ -2,7 +2,7 @@
 //! payload, FNV-64 trailer.
 //!
 //! Every byte-stream protocol in the workspace frames its messages the
-//! same way — the worker process transport (`USNAEWKR`, [`crate::proto`])
+//! same way — the worker socket transport (`USNAEWKR`, [`crate::proto`])
 //! and the serve daemon's client protocol (`USNAESRV`,
 //! `usnae_core::serve`) differ only in their magic, version, and payload
 //! vocabulary:

@@ -11,19 +11,18 @@
 //! Three layers:
 //!
 //! * [`proto`] — the typed message vocabulary ([`Request`] / [`Response`] /
-//!   [`Candidate`]) and the length-prefixed binary wire codec the process
+//!   [`Candidate`]) and the length-prefixed binary wire codec the socket
 //!   transport speaks (magic, version, per-frame FNV-64 checksum — the same
 //!   framing conventions as the `usnae_core::cache` snapshot codec).
 //! * [`worker`] — [`ShardWorker`]: the per-shard state machine that runs
 //!   level-synchronous bounded BFS over its local CSR arrays, absorbing
 //!   incoming frontier candidates and emitting outgoing ones each round.
-//! * Three [`Transport`]s behind one trait, driven by the [`WorkerPool`]:
+//! * Two [`Transport`]s behind one trait, driven by the [`WorkerPool`]:
 //!   [`channel::ChannelTransport`] (one OS thread per shard, bounded mpsc
-//!   channels), [`process::ProcessTransport`] (spawned `usnae-worker`
-//!   child processes over stdin/stdout pipes, kill-on-drop), and
-//!   [`socket::SocketTransport`] (the same framed protocol over TCP —
-//!   loopback-spawned `usnae-worker --listen` children by default,
-//!   pre-started remote workers via `USNAE_WORKERS_ADDR`).
+//!   channels) and [`socket::SocketTransport`] (the framed protocol over
+//!   TCP — loopback-spawned `usnae-worker --listen` children by default,
+//!   kill-on-drop, pre-started remote workers via `USNAE_WORKERS_ADDR`).
+//!   [`process`] only locates the `usnae-worker` executable.
 //!
 //! Workers also hold **output partitions**: at round end the driver ships
 //! each worker the output records it owns ([`Request::Retain`]) and
@@ -50,7 +49,7 @@
 //!   producing output.
 //!
 //! Message statistics ([`MessageStats`]) are computed by the driver from
-//! message *counts* times fixed wire sizes, so the channel and process
+//! message *counts* times fixed wire sizes, so the channel and socket
 //! transports report identical numbers for the same build.
 
 pub mod channel;
@@ -73,7 +72,7 @@ pub use worker::ShardWorker;
 /// shard and collects one [`Response`] per shard, in ascending shard id —
 /// the round barrier every exchange shares.
 pub trait Transport {
-    /// Short transport tag (`"channel"` / `"process"` / `"socket"`).
+    /// Short transport tag (`"channel"` / `"socket"`).
     fn name(&self) -> &'static str;
 
     /// One round barrier: deliver `reqs[s]` to worker `s`, return the

@@ -3,7 +3,7 @@
 //! results, and records **measured** [`MessageStats`].
 //!
 //! Statistics are computed here, from message *counts* times the fixed
-//! wire sizes in [`crate::proto`], so the channel and process transports
+//! wire sizes in [`crate::proto`], so the channel and socket transports
 //! report identical numbers for the same build:
 //!
 //! * `rounds` counts exchange barriers that advance a task (Start /
@@ -18,7 +18,6 @@ use usnae_graph::{Dist, VertexId};
 
 use crate::channel::ChannelTransport;
 use crate::error::WorkerError;
-use crate::process::ProcessTransport;
 use crate::proto::{
     Candidate, OutputRecord, Request, Response, ShardInit, Task, CANDIDATE_WIRE_BYTES,
     KEY_WIRE_BYTES, RANK_WIRE_BYTES, RECORD_WIRE_BYTES,
@@ -120,7 +119,6 @@ impl WorkerPool {
         boundaries.push(inits.last().map_or(0, |i| i.end));
         let transport: Box<dyn Transport> = match kind {
             TransportKind::Channel => Box::new(ChannelTransport::new(inits)),
-            TransportKind::Process => Box::new(ProcessTransport::new(inits)?),
             TransportKind::Socket => Box::new(SocketTransport::new(inits)?),
             TransportKind::Inproc => {
                 return Err(WorkerError::Corrupt {
@@ -135,7 +133,7 @@ impl WorkerPool {
         })
     }
 
-    /// The transport's tag (`"channel"` / `"process"` / `"socket"`).
+    /// The transport's tag (`"channel"` / `"socket"`).
     pub fn transport_name(&self) -> &'static str {
         self.transport.name()
     }
@@ -161,7 +159,7 @@ impl WorkerPool {
     /// # Errors
     ///
     /// [`WorkerError`] when a worker did not acknowledge the shutdown or
-    /// (process transport) exited nonzero.
+    /// (a spawned socket worker) exited nonzero.
     pub fn shutdown(mut self) -> Result<MessageStats, WorkerError> {
         self.transport.shutdown()?;
         Ok(self.stats.snapshot())

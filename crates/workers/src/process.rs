@@ -1,21 +1,7 @@
-//! Process workers: one spawned `usnae-worker` child per shard, speaking
-//! the length-prefixed binary protocol of [`crate::proto`] over
-//! stdin/stdout pipes.
-//!
-//! Robust teardown is part of the contract: a child that dies, exits
-//! nonzero, or emits a short/corrupt frame surfaces a typed
-//! [`WorkerError`] — enriched with the child's exit status and captured
-//! stderr when it is dead — and never leaves the driver blocked on a pipe
-//! read. Dropping the transport kills and reaps every still-running child
-//! (the kill-on-drop guard).
+//! Locating the `usnae-worker` executable that the socket transport
+//! spawns as loopback `--listen` children.
 
-use std::io::Read;
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-
-use crate::error::WorkerError;
-use crate::proto::{read_response, write_request, Request, Response, ShardInit};
-use crate::Transport;
 
 /// Environment override for the worker executable path; without it the
 /// binary is searched next to the current executable (covering
@@ -46,162 +32,4 @@ pub fn worker_bin() -> PathBuf {
         }
     }
     PathBuf::from(name)
-}
-
-struct ChildWorker {
-    child: Child,
-    stdin: Option<ChildStdin>,
-    stdout: Option<ChildStdout>,
-}
-
-impl ChildWorker {
-    /// Kills and reaps the child, returning `(exit code, stderr)`.
-    fn reap(&mut self) -> (Option<i32>, String) {
-        // Close our pipe ends first so a child blocked on I/O unblocks.
-        self.stdin = None;
-        self.stdout = None;
-        let _ = self.child.kill();
-        let status = self.child.wait().ok();
-        let mut stderr = String::new();
-        if let Some(mut err) = self.child.stderr.take() {
-            let _ = err.read_to_string(&mut stderr);
-        }
-        (status.and_then(|s| s.code()), stderr)
-    }
-}
-
-impl Drop for ChildWorker {
-    fn drop(&mut self) {
-        // Kill-on-drop guard: never leak a worker process, even on an
-        // error path that skipped the graceful shutdown.
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// One child process per shard; frames flow over stdin/stdout, stderr is
-/// captured for post-mortem error reports.
-pub struct ProcessTransport {
-    children: Vec<ChildWorker>,
-}
-
-impl ProcessTransport {
-    /// Spawns and initialises one worker process per shard layout.
-    ///
-    /// # Errors
-    ///
-    /// [`WorkerError`] when a child cannot be spawned or fails the
-    /// `Init → Ready` handshake; children spawned so far are killed.
-    pub fn new(inits: Vec<ShardInit>) -> Result<Self, WorkerError> {
-        let bin = worker_bin();
-        let mut transport = ProcessTransport {
-            children: Vec::with_capacity(inits.len()),
-        };
-        for (shard, init) in inits.into_iter().enumerate() {
-            let mut child = Command::new(&bin)
-                .stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::piped())
-                .spawn()
-                .map_err(WorkerError::Io)?;
-            let stdin = child.stdin.take().expect("stdin piped");
-            let stdout = child.stdout.take().expect("stdout piped");
-            transport.children.push(ChildWorker {
-                child,
-                stdin: Some(stdin),
-                stdout: Some(stdout),
-            });
-            let ready = transport.round_trip(shard, &Request::Init(init))?;
-            if !matches!(ready, Response::Ready) {
-                return Err(WorkerError::Protocol {
-                    shard,
-                    reason: format!("expected Ready after Init, got {ready:?}"),
-                });
-            }
-        }
-        Ok(transport)
-    }
-
-    /// If `shard`'s child is dead, converts `err` into
-    /// [`WorkerError::WorkerExited`] with the exit status and stderr;
-    /// otherwise kills the now-unusable child and keeps the frame error.
-    fn enrich(&mut self, shard: usize, err: WorkerError) -> WorkerError {
-        let child = &mut self.children[shard];
-        let died = !matches!(child.child.try_wait(), Ok(None));
-        let (code, stderr) = child.reap();
-        if died || matches!(err, WorkerError::Io(_) | WorkerError::Truncated { .. }) {
-            WorkerError::WorkerExited {
-                shard,
-                code,
-                stderr,
-            }
-        } else {
-            err
-        }
-    }
-
-    fn send(&mut self, shard: usize, req: &Request) -> Result<(), WorkerError> {
-        let r = match self.children[shard].stdin.as_mut() {
-            Some(stdin) => write_request(stdin, req),
-            None => Err(WorkerError::Disconnected { shard }),
-        };
-        r.map_err(|e| self.enrich(shard, e))
-    }
-
-    fn recv(&mut self, shard: usize) -> Result<Response, WorkerError> {
-        let r = match self.children[shard].stdout.as_mut() {
-            Some(stdout) => read_response(stdout),
-            None => Err(WorkerError::Disconnected { shard }),
-        };
-        r.map_err(|e| self.enrich(shard, e))
-    }
-
-    fn round_trip(&mut self, shard: usize, req: &Request) -> Result<Response, WorkerError> {
-        self.send(shard, req)?;
-        self.recv(shard)
-    }
-}
-
-impl Transport for ProcessTransport {
-    fn name(&self) -> &'static str {
-        "process"
-    }
-
-    fn exchange(&mut self, reqs: Vec<Request>) -> Result<Vec<Response>, WorkerError> {
-        assert_eq!(reqs.len(), self.children.len(), "one request per shard");
-        // Send everything first (children compute concurrently), then
-        // drain responses in ascending shard id — the round barrier.
-        for (shard, req) in reqs.iter().enumerate() {
-            self.send(shard, req)?;
-        }
-        let mut resps = Vec::with_capacity(self.children.len());
-        for shard in 0..self.children.len() {
-            resps.push(self.recv(shard)?);
-        }
-        Ok(resps)
-    }
-
-    fn shutdown(&mut self) -> Result<(), WorkerError> {
-        for shard in 0..self.children.len() {
-            let resp = self.round_trip(shard, &Request::Shutdown)?;
-            if !matches!(resp, Response::Stopping) {
-                return Err(WorkerError::Protocol {
-                    shard,
-                    reason: format!("expected Stopping, got {resp:?}"),
-                });
-            }
-            let child = &mut self.children[shard];
-            child.stdin = None; // EOF lets the worker loop exit
-            let status = child.child.wait().map_err(WorkerError::Io)?;
-            if !status.success() {
-                let (_, stderr) = child.reap();
-                return Err(WorkerError::WorkerExited {
-                    shard,
-                    code: status.code(),
-                    stderr,
-                });
-            }
-        }
-        Ok(())
-    }
 }

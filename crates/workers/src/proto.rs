@@ -1,6 +1,6 @@
 //! The typed message vocabulary and the binary wire codec.
 //!
-//! The process transport frames every message the way the core snapshot
+//! The socket transport frames every message the way the core snapshot
 //! codec frames a file — magic, version, a length-prefixed payload, and an
 //! FNV-64 checksum over everything before the trailer — so a short read,
 //! a stray byte, or a version skew surfaces as the same typed-error

@@ -1,13 +1,12 @@
-//! Socket workers: the same framed `USNAEWKR` protocol as the process
-//! transport, carried over TCP instead of stdin/stdout pipes.
+//! Socket workers: the framed `USNAEWKR` protocol of [`crate::proto`],
+//! carried over TCP.
 //!
 //! Two deployment shapes behind one transport:
 //!
 //! * **Loopback (default)** — one `usnae-worker --listen 127.0.0.1:0`
 //!   child is spawned per shard; each child binds an ephemeral port,
 //!   announces it on stdout (`USNAE-WORKER LISTEN <addr>`), accepts one
-//!   connection, and serves frames over it. Children are kill-on-drop,
-//!   exactly like the process transport.
+//!   connection, and serves frames over it. Children are kill-on-drop.
 //! * **Remote** — when [`WORKERS_ADDR_ENV`] is set (comma-separated
 //!   `host:port` list, one per shard, set by the CLI's `--workers-addr`),
 //!   the driver connects to pre-started `usnae-worker --listen` processes
@@ -68,8 +67,7 @@ fn io_timeout() -> Duration {
     Duration::from_millis(ms)
 }
 
-/// A loopback-spawned listening child (kill-on-drop, like the process
-/// transport's children).
+/// A loopback-spawned listening child (kill-on-drop).
 struct SpawnedChild {
     child: Child,
 }

@@ -9,9 +9,6 @@ pub enum TransportKind {
     Inproc,
     /// One OS thread per shard with bounded mpsc channels.
     Channel,
-    /// One spawned `usnae-worker` child process per shard, speaking the
-    /// length-prefixed binary protocol over stdin/stdout.
-    Process,
     /// One TCP connection per shard, framing the same binary protocol
     /// over a socket: loopback-spawned `usnae-worker --listen` children
     /// by default, or pre-started remote workers via `USNAE_WORKERS_ADDR`.
@@ -20,21 +17,19 @@ pub enum TransportKind {
 
 impl TransportKind {
     /// All kinds, stable order (CLI help and test matrices iterate this).
-    pub fn all() -> [TransportKind; 4] {
+    pub fn all() -> [TransportKind; 3] {
         [
             TransportKind::Inproc,
             TransportKind::Channel,
-            TransportKind::Process,
             TransportKind::Socket,
         ]
     }
 
-    /// Stable name (`"inproc"` / `"channel"` / `"process"` / `"socket"`).
+    /// Stable name (`"inproc"` / `"channel"` / `"socket"`).
     pub fn name(&self) -> &'static str {
         match self {
             TransportKind::Inproc => "inproc",
             TransportKind::Channel => "channel",
-            TransportKind::Process => "process",
             TransportKind::Socket => "socket",
         }
     }
@@ -44,12 +39,13 @@ impl TransportKind {
         TransportKind::all().into_iter().find(|k| k.name() == s)
     }
 
-    /// Single-byte code for the snapshot codec.
+    /// Single-byte code for the snapshot codec. Code 2 belonged to a
+    /// removed pipe transport and stays unassigned, so stored snapshots
+    /// keep decoding unchanged.
     pub fn code(&self) -> u8 {
         match self {
             TransportKind::Inproc => 0,
             TransportKind::Channel => 1,
-            TransportKind::Process => 2,
             TransportKind::Socket => 3,
         }
     }
@@ -113,6 +109,12 @@ mod tests {
         }
         assert_eq!(TransportKind::parse("carrier-pigeon"), None);
         assert_eq!(TransportKind::from_code(9), None);
+        // Stored snapshots carry these bytes: the codes never move, and
+        // the retired pipe transport's code 2 stays unassigned.
+        let codes = TransportKind::all().map(|k| k.code());
+        assert_eq!(codes, [0, 1, 3]);
+        assert_eq!(TransportKind::from_code(2), None);
+        assert_eq!(TransportKind::parse("process"), None);
         assert_eq!(TransportKind::default(), TransportKind::Inproc);
     }
 }

@@ -5,7 +5,7 @@
 //! explorations.
 //!
 //! Living in the workers crate's own integration tests means
-//! `CARGO_BIN_EXE_usnae-worker` is available, so the process transport is
+//! `CARGO_BIN_EXE_usnae-worker` is available, so the socket transport is
 //! pinned to the freshly-built worker binary.
 
 use std::collections::VecDeque;
@@ -16,7 +16,7 @@ use usnae_graph::{generators, par, Dist, Graph, VertexId};
 use usnae_workers::proto::ShardInit;
 use usnae_workers::{TransportKind, WorkerPool};
 
-/// Pins the process transport to the binary cargo just built.
+/// Pins the socket transport to the binary cargo just built.
 fn pin_worker_bin() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -137,9 +137,9 @@ fn channel_pool_matches_the_in_process_references() {
 }
 
 #[test]
-fn process_pool_matches_the_in_process_references() {
+fn socket_pool_matches_the_in_process_references() {
     pin_worker_bin();
-    check_transport(TransportKind::Process);
+    check_transport(TransportKind::Socket);
 }
 
 #[test]
@@ -153,7 +153,7 @@ fn both_transports_report_identical_message_stats() {
         p.explorations(&srcs, 4).expect("explorations run");
         p.shutdown().expect("clean shutdown")
     };
-    assert_eq!(run(TransportKind::Channel), run(TransportKind::Process));
+    assert_eq!(run(TransportKind::Channel), run(TransportKind::Socket));
 }
 
 #[test]

@@ -1,6 +1,6 @@
-//! Robust-teardown coverage for the process transport: a worker that dies,
-//! exits nonzero, or writes garbage must surface a **typed** error without
-//! ever hanging the driver on a blocked pipe read, and dropped transports
+//! Robust-teardown coverage for the socket transport's loopback children:
+//! a worker that dies, exits nonzero, or announces garbage must surface a
+//! **typed** error without ever hanging the driver, and dropped transports
 //! must reap their children.
 //!
 //! These tests point `USNAE_WORKER_BIN` at deliberately broken
@@ -58,10 +58,10 @@ fn with_bin<T>(bin: &str, f: impl FnOnce() -> T) -> T {
 
 #[test]
 fn a_worker_that_exits_immediately_is_a_typed_error_not_a_hang() {
-    // `/bin/false` exits 1 without speaking the protocol: the Init
-    // handshake must fail with the exit status attached.
+    // `/bin/false` exits 1 without announcing a listen address: the
+    // spawn must fail with the exit status attached.
     let err = with_bin("/bin/false", || {
-        WorkerPool::new(TransportKind::Process, tiny_inits(2)).err()
+        WorkerPool::new(TransportKind::Socket, tiny_inits(2)).err()
     })
     .expect("handshake must fail");
     match err {
@@ -74,23 +74,24 @@ fn a_worker_that_exits_immediately_is_a_typed_error_not_a_hang() {
 
 #[test]
 fn a_worker_that_speaks_garbage_is_a_typed_error_not_a_hang() {
-    // `echo` prints a newline and exits 0: the driver sees a malformed
-    // short frame from an already-dead child.
+    // `echo` prints its arguments instead of `USNAE-WORKER LISTEN
+    // <addr>`: the driver must refuse the malformed announcement.
     let err = with_bin("/bin/echo", || {
-        WorkerPool::new(TransportKind::Process, tiny_inits(2)).err()
+        WorkerPool::new(TransportKind::Socket, tiny_inits(2)).err()
     })
     .expect("handshake must fail");
     match err {
-        WorkerError::WorkerExited { shard: 0, .. } => {}
-        WorkerError::BadMagic | WorkerError::Truncated { .. } => {}
-        other => panic!("expected a frame/exit error, got {other}"),
+        WorkerError::Protocol { shard: 0, reason } => {
+            assert!(reason.contains("listen announcement"), "got {reason}");
+        }
+        other => panic!("expected a Protocol error, got {other}"),
     }
 }
 
 #[test]
 fn a_missing_worker_binary_is_an_io_error() {
     let err = with_bin("/nonexistent/usnae-worker", || {
-        WorkerPool::new(TransportKind::Process, tiny_inits(2)).err()
+        WorkerPool::new(TransportKind::Socket, tiny_inits(2)).err()
     })
     .expect("spawn must fail");
     assert!(matches!(err, WorkerError::Io(_)), "got {err}");
@@ -103,8 +104,24 @@ fn dropping_a_healthy_pool_reaps_its_children() {
     let _guard = BIN_LOCK.lock().expect("bin lock");
     std::env::set_var("USNAE_WORKER_BIN", env!("CARGO_BIN_EXE_usnae-worker"));
     let mut pool =
-        WorkerPool::new(TransportKind::Process, tiny_inits(2)).expect("healthy pool spawns");
+        WorkerPool::new(TransportKind::Socket, tiny_inits(2)).expect("healthy pool spawns");
     pool.balls(&[0, 7], 3).expect("balls run");
     drop(pool); // no shutdown: Drop must kill + wait
     std::env::remove_var("USNAE_WORKER_BIN");
+}
+
+#[test]
+fn a_worker_started_without_listen_is_a_usage_error() {
+    // Frames travel only over a socket: with no `--listen ADDR` the
+    // worker must refuse to start rather than serve its stdin.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_usnae-worker"))
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("run usnae-worker");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("usage: usnae-worker --listen ADDR"),
+        "{stderr}"
+    );
 }

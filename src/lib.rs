@@ -11,7 +11,7 @@
 //! * [`baselines`] — EP01, TZ06, EN17a emulators and the EM19 spanner,
 //!   adapted onto the same [`api::Construction`] trait.
 //! * [`workers`] — per-shard worker execution: typed frontier messages
-//!   over a channel (threads) or process (child `usnae-worker`)
+//!   over a channel (threads) or socket (`usnae-worker` over TCP)
 //!   transport, with measured message statistics.
 //! * [`eval`] — experiment harness regenerating every table/figure.
 //! * [`registry`] — the complete algorithm catalogue (paper + baselines).
@@ -190,8 +190,8 @@
 //! # Distributed execution
 //!
 //! A partitioned build can hand each shard to its own **worker** — an OS
-//! thread (`channel` transport) or a child `usnae-worker` process
-//! (`process` transport) — that owns the shard's adjacency and answers
+//! thread (`channel` transport) or a `usnae-worker` process reached over
+//! TCP (`socket` transport) — that owns the shard's adjacency and answers
 //! typed frontier messages behind a deterministic round barrier. The
 //! built structure stays byte-identical to the in-process build
 //! (enforced registry-wide by `tests/worker_conformance.rs`), and the

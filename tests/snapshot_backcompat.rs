@@ -1,38 +1,23 @@
-//! Snapshot codec back-compat: golden v2 and v3 files decode under the
-//! v4 codec.
+//! Snapshot codec back-compat: files of older codec versions are refused
+//! with a typed error, and the cache treats them as a miss and rebuilds.
 //!
-//! The cache's compatibility promise (`MIN_VERSION = 2`) says entries
-//! written by older releases keep serving after an upgrade. These tests
-//! pin that promise to *actual committed bytes*: genuine version-2 and
-//! version-3 files live in `tests/data/`, and every release must keep
-//! decoding them to the same semantic snapshot the deterministic rebuild
-//! produces today — key, stream, records, certification — with the
-//! version-appropriate defaults for fields the old layouts predate
-//! (v2 has no transport tail, so it decodes as an inproc build with no
-//! message stats).
-//!
-//! The fixtures are regenerated only after an *intentional* stream or
-//! codec change:
-//!
-//! ```text
-//! USNAE_REGEN_GOLDEN=1 cargo test --test snapshot_backcompat
-//! git add tests/data && git commit
-//! ```
-//!
-//! (Timings embedded in the STATS section change on regen — that is
-//! expected; the tests never compare them.)
+//! The codec reads and writes version 4 only. A cache directory can be
+//! rebuilt by design, so an entry left by an older release is not served
+//! and not a failure: it decodes to `UnsupportedVersion`, the read-through
+//! build reports a miss, rebuilds the exact golden stream, and replaces
+//! the entry with a v4 file that the next run hits. The genuine v2 and v3
+//! files committed in `tests/data/` pin that behaviour to real old bytes.
 
 mod common;
 
-use common::{fixture_graphs, golden_config};
+use common::{fixture_graphs, golden_config, golden_path, stream_text};
 use std::path::PathBuf;
-use usnae::api::{BuildConfig, PartitionPolicy, TransportKind};
-use usnae::core::cache::{CacheKey, Snapshot, MIN_VERSION, VERSION};
+use usnae::api::{BuildConfig, CacheStatus, PartitionPolicy, TransportKind};
+use usnae::core::cache::{
+    build_cached, CacheConfig, CacheKey, ConstructionCache, EvictingCache, Snapshot, SnapshotError,
+    VERSION,
+};
 use usnae::registry;
-
-fn regen_requested() -> bool {
-    std::env::var("USNAE_REGEN_GOLDEN").is_ok_and(|v| v == "1")
-}
 
 fn fixture_path(tag: &str, algo: &str, version: u32) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -40,8 +25,9 @@ fn fixture_path(tag: &str, algo: &str, version: u32) -> PathBuf {
         .join(format!("{tag}.{algo}.v{version}.usnae-snap"))
 }
 
-/// The legacy fixture matrix: one single-stream v2 file and one v3 file
-/// whose transport tail actually carries worker-pool message stats.
+/// The committed old-version files: one single-stream v2 file and one v3
+/// file from a channel worker-pool build, each with the config it was
+/// written under (which fixes its cache key).
 fn fixture_cases() -> Vec<(&'static str, &'static str, u32, BuildConfig)> {
     vec![
         ("grid8x8", "centralized", 2, golden_config()),
@@ -59,134 +45,85 @@ fn fixture_cases() -> Vec<(&'static str, &'static str, u32, BuildConfig)> {
     ]
 }
 
-/// Rebuilds the snapshot a fixture was generated from. Constructions are
-/// pure functions of `(graph, config)`, so everything except wall-clock
-/// stats is reproducible at any commit.
-fn rebuild(tag: &str, algo: &str, cfg: &BuildConfig) -> Snapshot {
-    let (_, g) = fixture_graphs()
-        .into_iter()
-        .find(|(t, _)| *t == tag)
-        .unwrap_or_else(|| panic!("unknown fixture graph {tag}"));
-    let c = registry::find(algo).unwrap_or_else(|| panic!("unknown algorithm {algo}"));
-    let out = c
-        .build(&g, cfg)
-        .unwrap_or_else(|e| panic!("{algo} on {tag}: {e}"));
-    Snapshot::from_output(CacheKey::new(&g, algo, cfg), &out)
-}
-
-/// Field-wise equality on everything a legacy file is required to
-/// preserve — all semantic content; never the embedded timings.
-fn assert_semantically_equal(decoded: &Snapshot, want: &Snapshot, what: &str) {
-    assert_eq!(decoded.key, want.key, "{what}: cache key");
-    assert_eq!(
-        decoded.stream_fingerprint, want.stream_fingerprint,
-        "{what}: stream fingerprint"
-    );
-    assert_eq!(decoded.num_vertices, want.num_vertices, "{what}: n");
-    assert_eq!(decoded.records, want.records, "{what}: insertion records");
-    assert_eq!(decoded.certified, want.certified, "{what}: certified pair");
-    assert_eq!(decoded.size_bound, want.size_bound, "{what}: size bound");
-    assert_eq!(decoded.congest, want.congest, "{what}: congest stats");
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("usnae-backcompat-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
 }
 
 #[test]
-fn golden_v2_and_v3_snapshots_decode_under_the_v4_codec() {
+fn golden_v2_and_v3_snapshots_are_refused_and_rebuilt_as_cache_misses() {
     for (tag, algo, version, cfg) in fixture_cases() {
-        assert!((MIN_VERSION..VERSION).contains(&version));
-        let want = rebuild(tag, algo, &cfg);
+        let what = format!("{tag}.{algo}.v{version}");
         let path = fixture_path(tag, algo, version);
-        if regen_requested() {
-            std::fs::create_dir_all(path.parent().unwrap()).expect("create tests/data");
-            std::fs::write(&path, want.encode_version(version))
-                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-        }
-        let bytes = std::fs::read(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden snapshot {} ({e}); regenerate with \
-                 `USNAE_REGEN_GOLDEN=1 cargo test --test snapshot_backcompat` \
-                 and commit tests/data",
-                path.display()
-            )
-        });
+        let bytes = std::fs::read(&path)
+            .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
         assert_eq!(
             u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
             version,
-            "{}: fixture does not carry the version it claims",
-            path.display()
+            "{what}: fixture does not carry the version it claims"
         );
-        let decoded = Snapshot::decode(&bytes).unwrap_or_else(|e| {
-            panic!(
-                "golden v{version} snapshot {} no longer decodes: {e}",
-                path.display()
-            )
-        });
-        assert_semantically_equal(&decoded, &want, &format!("{tag}.{algo}.v{version}"));
-        match version {
-            // v2 predates worker transports: the decoder must default the
-            // tail, not invent one.
-            2 => {
-                assert_eq!(decoded.stats.transport, TransportKind::Inproc);
-                assert!(decoded.stats.messages.is_none());
+
+        // The codec refuses the old layout with a typed error.
+        match Snapshot::decode(&bytes) {
+            Err(SnapshotError::UnsupportedVersion { found, supported }) => {
+                assert_eq!(found, version, "{what}");
+                assert_eq!(supported, 4, "{what}");
             }
-            // v3 carries the transport tail; this fixture was a channel
-            // worker-pool build, so its message stats must survive.
-            3 => {
-                assert_eq!(decoded.stats.transport, TransportKind::Channel);
-                assert!(
-                    decoded.stats.messages.is_some(),
-                    "v3 fixture lost its worker message stats"
-                );
-            }
-            _ => unreachable!(),
+            other => panic!("{what}: expected UnsupportedVersion, got {other:?}"),
         }
-    }
-}
 
-#[test]
-fn legacy_snapshots_reencode_to_v4_and_round_trip() {
-    // The upgrade path a long-lived cache directory takes: decode an old
-    // entry, re-encode at the current version (gaining the section
-    // directory and the EMU_CSR serving image), decode again. Nothing
-    // semantic may change, and the re-encoded file must pass the v4
-    // decoder's stricter checks (directory bounds, EMU recomputation).
-    for (tag, algo, version, _cfg) in fixture_cases() {
-        let path = fixture_path(tag, algo, version);
-        let Ok(bytes) = std::fs::read(&path) else {
-            continue; // the decode test reports missing fixtures
-        };
-        let decoded = Snapshot::decode(&bytes).expect("fixture decodes");
-        let reencoded = decoded.encode();
+        let (_, g) = fixture_graphs()
+            .into_iter()
+            .find(|(t, _)| *t == tag)
+            .expect("fixture graph");
+        let c = registry::find(algo).expect("registry algorithm");
+        let key = CacheKey::new(&g, algo, &cfg);
+
+        // Placed as the cache entry for its key, the old file is a miss:
+        // the build reruns, reproduces the golden stream, and leaves a v4
+        // entry in its place.
+        let dir = scratch(&format!("{tag}-build"));
+        let entry = ConstructionCache::new(&dir).entry_path(&key);
+        std::fs::write(&entry, &bytes).unwrap();
+        let cache_cfg = CacheConfig::new(&dir);
+        let cold = build_cached(c.as_ref(), &g, &cfg, &cache_cfg).expect("rebuild");
+        assert_eq!(cold.stats.cache, CacheStatus::Miss, "{what}");
+        let golden = std::fs::read_to_string(golden_path(tag, algo)).expect("golden stream");
         assert_eq!(
-            u32::from_le_bytes(reencoded[8..12].try_into().unwrap()),
+            stream_text(tag, algo, &cold),
+            golden,
+            "{what}: rebuild drifted from the golden stream"
+        );
+        let stored = std::fs::read(&entry).expect("rebuilt entry");
+        assert_eq!(
+            u32::from_le_bytes(stored[8..12].try_into().unwrap()),
             VERSION,
-            "re-encode must produce the current version"
+            "{what}: the rebuild must replace the entry with the current codec"
         );
-        let round = Snapshot::decode(&reencoded)
-            .unwrap_or_else(|e| panic!("v{version}->v4 re-encode of {tag}.{algo} broke: {e}"));
+        let warm = build_cached(c.as_ref(), &g, &cfg, &cache_cfg).expect("warm build");
+        assert_eq!(warm.stats.cache, CacheStatus::Hit, "{what}");
         assert_eq!(
-            round, decoded,
-            "{tag}.{algo}: v{version}->v4 round trip changed the snapshot"
+            warm.stream_fingerprint(),
+            cold.stream_fingerprint(),
+            "{what}"
         );
-    }
-}
+        let _ = std::fs::remove_dir_all(&dir);
 
-#[test]
-fn legacy_reencode_at_same_version_is_byte_stable() {
-    // decode ∘ encode is the identity on the legacy layouts too: decoding
-    // an old file and re-encoding it at its own version reproduces the
-    // committed bytes exactly. This pins the legacy writers, so the
-    // fixtures cannot silently drift out of reach of `encode_version`.
-    for (tag, algo, version, _cfg) in fixture_cases() {
-        let path = fixture_path(tag, algo, version);
-        let Ok(bytes) = std::fs::read(&path) else {
-            continue; // the decode test reports missing fixtures
-        };
-        let decoded = Snapshot::decode(&bytes).expect("fixture decodes");
-        assert_eq!(
-            decoded.encode_version(version),
-            bytes,
-            "{tag}.{algo}: encode_version({version}) no longer reproduces the \
-             committed fixture byte-for-byte"
+        // The serving cache cannot map the old file either: a counted miss.
+        let dir = scratch(&format!("{tag}-mapped"));
+        let cache = EvictingCache::open(&dir, None).expect("open cache");
+        std::fs::write(cache.entry_path(&key), &bytes).unwrap();
+        assert!(
+            cache
+                .open_mapped(&key)
+                .expect("a miss, not an error")
+                .is_none(),
+            "{what}: an old-version entry must not be served"
         );
+        let usage = cache.usage();
+        assert_eq!((usage.hits, usage.misses), (0, 1), "{what}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
