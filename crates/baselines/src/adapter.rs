@@ -82,7 +82,7 @@ impl Construction for Ep01 {
             stats: timed_stats(cfg, t0, report),
             algorithm: self.name(),
         };
-        finalize_worker_build(&mut out, held, cfg)?;
+        finalize_worker_build(&mut out, held)?;
         Ok(out)
     }
 }
@@ -186,7 +186,7 @@ impl Construction for En17 {
             stats: timed_stats(cfg, t0, report),
             algorithm: self.name(),
         };
-        finalize_worker_build(&mut out, held, cfg)?;
+        finalize_worker_build(&mut out, held)?;
         Ok(out)
     }
 }
@@ -237,7 +237,7 @@ impl Construction for Em19 {
             stats: timed_stats(cfg, t0, report),
             algorithm: self.name(),
         };
-        finalize_worker_build(&mut out, held, cfg)?;
+        finalize_worker_build(&mut out, held)?;
         Ok(out)
     }
 }

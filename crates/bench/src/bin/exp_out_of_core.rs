@@ -191,8 +191,8 @@ fn serve_leg(snapshot: &Path, n: usize, queries: usize) {
         .expect("serve snapshot")
         .with_cache_capacity(2);
     assert!(
-        engine.emulator().is_none(),
-        "mapped serving must not materialize a heap emulator"
+        engine.store().is_mapped(),
+        "mapped serving must answer from the OS-mapped snapshot"
     );
     let fp = answers_fingerprint(&engine, &query_pairs(n, queries));
     emit_leg(

@@ -145,7 +145,7 @@
 //! ```
 //!
 //! An engine can also be opened over any [`OutputBackend`] — in
-//! particular a [`SnapshotBackend`] over a cache entry, so a stored
+//! particular a [`MappedBackend`] over a cache entry, so a stored
 //! build answers queries in a later process **without re-running the
 //! construction** ([`QueryEngine::open`]); the backend carries the
 //! certified `(α, β)` pair with the stream ([`OutputBackend::certified`]).
@@ -204,7 +204,7 @@
 //! // Serve it zero-copy: no graph, no decode, no heap emulator.
 //! let backend = MappedBackend::open(&snap)?;
 //! let engine = QueryEngine::open(&backend)?;
-//! assert!(engine.emulator().is_none());
+//! assert!(engine.store().is_mapped());
 //! let served = engine.distance(0, 63);
 //! assert_eq!(served.value, out.into_query_engine().distance(0, 63).value);
 //! # std::fs::remove_dir_all(&dir).ok();
@@ -267,14 +267,13 @@ pub mod output;
 pub mod registry;
 
 pub use crate::cache::CacheConfig;
-pub use crate::cache::{MappedEmulator, MappedSnapshot};
+pub use crate::cache::MappedSnapshot;
 pub use crate::centralized::ProcessingOrder;
-pub use crate::emulator::Emulator;
+pub use crate::emulator::{EmuCsr, Emulator};
 pub use crate::exec::{MessageStats, PairStats, TransportKind, WORKERS_ADDR_ENV};
-pub use crate::oracle::{Certified, EmStore, LandmarkIndex, QueryEngine, QueryStats};
+pub use crate::oracle::{Certified, LandmarkIndex, QueryEngine, QueryStats};
 pub use backend::{
-    HeapBackend, MappedBackend, OutputBackend, PartitionedBackend, RemotePartitionedBackend,
-    SnapshotBackend, REMOTE_FETCH_CHUNK,
+    HeapBackend, MappedBackend, OutputBackend, RemotePartitionedBackend, REMOTE_FETCH_CHUNK,
 };
 pub use config::{Algorithm, BuildConfig};
 pub use construction::{require_inproc, BuildError, Construction, Supports};

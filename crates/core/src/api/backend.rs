@@ -1,25 +1,24 @@
 //! The multi-backend output seam: where a built structure *lives*.
 //!
-//! `BuildOutput.emulator` keeps its in-memory type — every existing
-//! consumer stays untouched — but the [`OutputBackend`] trait lets an
-//! output live somewhere other than this process's heap: today as a
-//! [`SnapshotBackend`] over the on-disk codec (see [`crate::cache`]), as
-//! a [`PartitionedBackend`] holding the insertion stream as per-shard
-//! partitions (the in-memory prototype of a remote-shard backend), and by
-//! design as future mmap'd or fully remote backends (the ROADMAP's
-//! million-vertex direction), all behind `materialize()`.
+//! `BuildOutput.emulator` keeps its in-memory type, but the
+//! [`OutputBackend`] trait lets an output live somewhere other than this
+//! process's heap. Three backends implement it:
+//!
+//! * [`HeapBackend`]: a live emulator in this process;
+//! * [`MappedBackend`]: a codec-v4 snapshot file (see [`crate::cache`]),
+//!   served through an mmap of its emulator CSR section;
+//! * [`RemotePartitionedBackend`]: the insertion stream held as per-shard
+//!   partitions by the workers of a socket or channel build.
 //!
 //! The contract mirrors the cache's: a backend's `stream_fingerprint`
 //! identifies the exact insertion stream, so two backends holding "the
 //! same" output can be compared without materializing either.
 
 use crate::cache::{MappedSnapshot, Snapshot, SnapshotError};
-use crate::emulator::{EdgeKind, EdgeProvenance, Emulator};
+use crate::emulator::{EdgeKind, EdgeProvenance, EmuCsr, Emulator};
 use crate::engine::HeldOutputs;
-use crate::oracle::EmStore;
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
-use usnae_graph::partition::PartitionPolicy;
 use usnae_graph::WeightedEdge;
 use usnae_workers::{MessageStats, OutputRecord, WorkerError, WorkerPool};
 
@@ -61,19 +60,18 @@ pub trait OutputBackend {
     /// (the heap backend is infallible).
     fn materialize(&self) -> Result<Emulator, SnapshotError>;
 
-    /// Produces the store a [`QueryEngine`](crate::oracle::QueryEngine)
-    /// holds for answering queries. The default materializes onto the heap
-    /// — correct for every backend. Out-of-core backends
-    /// ([`MappedBackend`]) override this to serve the structure straight
-    /// from the mapped snapshot file, so opening an engine never copies the
-    /// emulator into process memory; answers are byte-identical either way
-    /// (distances are unique functions of the stored structure).
+    /// Produces the frozen emulator a
+    /// [`QueryEngine`](crate::oracle::QueryEngine) answers queries from.
+    /// The default materializes and freezes it — correct for every backend.
+    /// [`MappedBackend`] overrides this to serve the snapshot file's own
+    /// CSR section, so opening an engine never copies the emulator into
+    /// process memory; the bytes are identical either way.
     ///
     /// # Errors
     ///
     /// Same contract as [`OutputBackend::materialize`].
-    fn serve(&self) -> Result<EmStore, SnapshotError> {
-        Ok(EmStore::Heap(self.materialize()?))
+    fn serve(&self) -> Result<EmuCsr, SnapshotError> {
+        Ok(EmuCsr::from_emulator(&self.materialize()?))
     }
 }
 
@@ -144,98 +142,21 @@ impl OutputBackend for HeapBackend {
     fn materialize(&self) -> Result<Emulator, SnapshotError> {
         Ok(self.emulator.clone())
     }
-}
 
-/// A backend over one on-disk snapshot file: metadata is held from the
-/// (verified) decode at open time; `materialize` re-reads and re-verifies
-/// the file, so a backend held across processes never trusts stale bytes.
-#[derive(Debug, Clone)]
-pub struct SnapshotBackend {
-    path: PathBuf,
-    algorithm: String,
-    num_vertices: usize,
-    num_edges: usize,
-    fingerprint: u64,
-    certified: Option<(f64, f64)>,
-}
-
-impl SnapshotBackend {
-    /// Opens and fully verifies a snapshot file, keeping only its metadata
-    /// (the decoded records are dropped — this is the low-memory handle).
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`] from the decode.
-    pub fn open(path: impl Into<PathBuf>) -> Result<Self, SnapshotError> {
-        let path = path.into();
-        let snap = Snapshot::decode(&std::fs::read(&path)?)?;
-        // Distinct-edge count without materializing the adjacency
-        // structure: the records are already canonicalized (u <= v), so
-        // sort + dedup on the pairs is the whole computation.
-        let mut pairs: Vec<(usize, usize)> = snap.records.iter().map(|(e, _)| (e.u, e.v)).collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        let num_edges = pairs.len();
-        Ok(SnapshotBackend {
-            algorithm: snap.key.algorithm.clone(),
-            num_vertices: snap.num_vertices,
-            num_edges,
-            fingerprint: snap.stream_fingerprint,
-            certified: snap.certified,
-            path,
-        })
-    }
-
-    /// The snapshot file this backend reads from.
-    pub fn path(&self) -> &Path {
-        &self.path
+    fn serve(&self) -> Result<EmuCsr, SnapshotError> {
+        Ok(EmuCsr::from_emulator(&self.emulator))
     }
 }
 
-impl OutputBackend for SnapshotBackend {
-    fn kind(&self) -> &'static str {
-        "snapshot"
-    }
-
-    fn algorithm(&self) -> &str {
-        &self.algorithm
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    fn stream_fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    fn certified(&self) -> Option<(f64, f64)> {
-        self.certified
-    }
-
-    fn materialize(&self) -> Result<Emulator, SnapshotError> {
-        let snap = Snapshot::decode(&std::fs::read(&self.path)?)?;
-        if snap.stream_fingerprint != self.fingerprint {
-            return Err(SnapshotError::FingerprintMismatch {
-                stored: self.fingerprint,
-                recomputed: snap.stream_fingerprint,
-            });
-        }
-        Ok(snap.rebuild_emulator())
-    }
-}
-
-/// The out-of-core backend: a [`MappedSnapshot`] handle over a codec-v4
-/// snapshot file. Metadata comes from the section directory at open time
-/// (the record stream is never decoded); `serve()` hands a
-/// [`QueryEngine`](crate::oracle::QueryEngine) the mapped emulator CSR
-/// section directly, so query serving holds no heap copy of the
-/// structure. `materialize()` still works — it fully decodes the file —
-/// for consumers that genuinely need a live [`Emulator`].
+/// The snapshot backend: a [`MappedSnapshot`] handle over a codec-v4
+/// snapshot file. Open verifies the whole-file checksum and takes the
+/// metadata from the section directory (the record stream is never
+/// decoded); `serve()` hands a [`QueryEngine`](crate::oracle::QueryEngine)
+/// the mapped emulator CSR section directly, so query serving holds no
+/// heap copy of the structure. `materialize()` re-reads the file, fully
+/// decodes and verifies it and checks the stream fingerprint against the
+/// one seen at open, so a handle held across processes never trusts
+/// stale bytes.
 #[derive(Debug)]
 pub struct MappedBackend {
     snap: MappedSnapshot,
@@ -247,9 +168,8 @@ impl MappedBackend {
     /// # Errors
     ///
     /// Any [`SnapshotError`] from [`MappedSnapshot::open`] — including
-    /// [`SnapshotError::UnsupportedVersion`] for pre-v4 files, which have
-    /// no section directory to serve from (decode them and re-encode, or
-    /// use [`SnapshotBackend`]).
+    /// [`SnapshotError::UnsupportedVersion`] for files of any other codec
+    /// version.
     pub fn open(path: impl Into<PathBuf>) -> Result<Self, SnapshotError> {
         Ok(MappedBackend {
             snap: MappedSnapshot::open(path.into())?,
@@ -303,123 +223,8 @@ impl OutputBackend for MappedBackend {
         Ok(full.rebuild_emulator())
     }
 
-    fn serve(&self) -> Result<EmStore, SnapshotError> {
-        Ok(EmStore::Mapped(self.snap.emulator()?))
-    }
-}
-
-/// A backend that holds a built output's insertion stream partitioned
-/// into per-shard lists by the owning shard of each edge's lower
-/// endpoint — the same contiguous-range ownership [`ShardedCsr`]
-/// (`usnae_graph::partition`) uses for the input graph. This is the
-/// in-memory prototype of a remote-shard backend: each shard's records
-/// are independently addressable (and could live in another process),
-/// while `materialize()` merges them back in original insertion order,
-/// reproducing the exact stream — same fingerprint as the heap backend.
-#[derive(Debug, Clone)]
-pub struct PartitionedBackend {
-    algorithm: String,
-    num_vertices: usize,
-    num_edges: usize,
-    fingerprint: u64,
-    certified: Option<(f64, f64)>,
-    policy: PartitionPolicy,
-    /// Per shard: `(original stream index, record)`, index-ascending.
-    shards: Vec<Vec<(usize, (WeightedEdge, EdgeProvenance))>>,
-}
-
-impl PartitionedBackend {
-    /// Partitions `out`'s insertion stream into `shards` per-shard lists.
-    /// Ownership boundaries are computed over the *output* structure
-    /// (degree-balanced policies weight by emulator degree), so a hub-heavy
-    /// emulator does not overload shard 0.
-    pub fn from_output(
-        out: &crate::api::BuildOutput,
-        policy: PartitionPolicy,
-        shards: usize,
-    ) -> Self {
-        let n = out.emulator.num_vertices();
-        let bounds = usnae_graph::partition::weighted_boundaries(
-            n,
-            |v| out.emulator.graph().degree(v),
-            policy,
-            shards,
-        );
-        let owner = |v: usize| -> usize { bounds.partition_point(|&b| b <= v).saturating_sub(1) };
-        let mut parts: Vec<Vec<(usize, (WeightedEdge, EdgeProvenance))>> =
-            vec![Vec::new(); bounds.len() - 1];
-        for (idx, rec) in out.emulator.provenance().iter().enumerate() {
-            parts[owner(rec.0.u)].push((idx, *rec));
-        }
-        PartitionedBackend {
-            algorithm: out.algorithm.to_string(),
-            num_vertices: n,
-            num_edges: out.num_edges(),
-            fingerprint: out.stream_fingerprint(),
-            certified: out.certified,
-            policy,
-            shards: parts,
-        }
-    }
-
-    /// The policy the stream was partitioned under.
-    pub fn policy(&self) -> PartitionPolicy {
-        self.policy
-    }
-
-    /// Number of stream shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// One shard's records: `(original stream index, record)`, ascending.
-    pub fn shard_records(&self, shard: usize) -> &[(usize, (WeightedEdge, EdgeProvenance))] {
-        &self.shards[shard]
-    }
-}
-
-impl OutputBackend for PartitionedBackend {
-    fn kind(&self) -> &'static str {
-        "partitioned"
-    }
-
-    fn algorithm(&self) -> &str {
-        &self.algorithm
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    fn stream_fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    fn certified(&self) -> Option<(f64, f64)> {
-        self.certified
-    }
-
-    fn materialize(&self) -> Result<Emulator, SnapshotError> {
-        // Merge the per-shard lists back into insertion order. Each list
-        // is index-ascending, so this is a k-way merge; the recomputed
-        // fingerprint proves the merge reproduced the original stream.
-        let mut records: Vec<(usize, (WeightedEdge, EdgeProvenance))> =
-            self.shards.iter().flatten().cloned().collect();
-        records.sort_unstable_by_key(|&(idx, _)| idx);
-        let merged: Vec<(WeightedEdge, EdgeProvenance)> =
-            records.into_iter().map(|(_, r)| r).collect();
-        let recomputed = crate::emulator::stream_fingerprint(&merged);
-        if recomputed != self.fingerprint {
-            return Err(SnapshotError::FingerprintMismatch {
-                stored: self.fingerprint,
-                recomputed,
-            });
-        }
-        Ok(Emulator::from_provenance(self.num_vertices, merged))
+    fn serve(&self) -> Result<EmuCsr, SnapshotError> {
+        self.snap.reopen_csr()
     }
 }
 
@@ -427,15 +232,13 @@ impl OutputBackend for PartitionedBackend {
 /// [`RemotePartitionedBackend`] streams its partitions back.
 pub const REMOTE_FETCH_CHUNK: usize = 4096;
 
-/// The remote sibling of [`PartitionedBackend`]: the output partitions
-/// live in the *workers* (shipped by `Engine::finish_retaining` at round
-/// end), and this backend holds only metadata plus the live
-/// [`WorkerPool`]. `materialize()` streams every partition back lazily in
-/// [`REMOTE_FETCH_CHUNK`]-sized slices, merges by original stream index,
-/// re-verifies the merge by stream fingerprint — exactly the
-/// [`PartitionedBackend`] contract, but over a real transport — and shuts
-/// the pool down, keeping the merged records so repeat materializes need
-/// no workers.
+/// A backend whose output partitions live in the *workers* (shipped by
+/// `Engine::finish_retaining` at round end): it holds only metadata plus
+/// the live [`WorkerPool`]. [`verify`](Self::verify) streams every
+/// partition back lazily in [`REMOTE_FETCH_CHUNK`]-sized slices, merges by
+/// original stream index, re-verifies the merge by stream fingerprint and
+/// shuts the pool down, keeping the merged records so a later
+/// `materialize()` needs no workers.
 pub struct RemotePartitionedBackend {
     algorithm: String,
     num_vertices: usize,
@@ -496,6 +299,35 @@ impl RemotePartitionedBackend {
     /// worker mid-fetch) rather than a bad merge.
     pub fn take_worker_error(&self) -> Option<WorkerError> {
         self.worker_error.borrow_mut().take()
+    }
+
+    /// Fetches the worker-held partitions (once), merges them and checks
+    /// that the merge reproduces the built stream's fingerprint, without
+    /// building an emulator.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] when the fetch or the merge fails (the
+    /// transport's own error is kept for
+    /// [`take_worker_error`](Self::take_worker_error)), or
+    /// [`SnapshotError::FingerprintMismatch`] for a merge of the wrong
+    /// stream.
+    pub fn verify(&self) -> Result<(), SnapshotError> {
+        if self.merged.borrow().is_none() {
+            self.fetch_and_merge()?;
+        }
+        let merged = self.merged.borrow();
+        let records = merged
+            .as_ref()
+            .expect("fetch_and_merge fills the merge on success");
+        let recomputed = crate::emulator::stream_fingerprint(records);
+        if recomputed != self.fingerprint {
+            return Err(SnapshotError::FingerprintMismatch {
+                stored: self.fingerprint,
+                recomputed,
+            });
+        }
+        Ok(())
     }
 
     /// Streams the partitions back, merges them, and shuts the pool down.
@@ -607,23 +439,13 @@ impl OutputBackend for RemotePartitionedBackend {
     }
 
     fn materialize(&self) -> Result<Emulator, SnapshotError> {
-        if self.merged.borrow().is_none() {
-            self.fetch_and_merge()?;
-        }
-        let records = self
-            .merged
-            .borrow()
-            .as_ref()
-            .expect("fetch_and_merge fills the cache on success")
-            .clone();
-        let recomputed = crate::emulator::stream_fingerprint(&records);
-        if recomputed != self.fingerprint {
-            return Err(SnapshotError::FingerprintMismatch {
-                stored: self.fingerprint,
-                recomputed,
-            });
-        }
-        Ok(Emulator::from_provenance(self.num_vertices, records))
+        self.verify()?;
+        let merged = self.merged.borrow();
+        let records = merged.as_ref().expect("verify fills the merge on success");
+        Ok(Emulator::from_provenance(
+            self.num_vertices,
+            records.iter().copied(),
+        ))
     }
 }
 
@@ -632,6 +454,7 @@ mod tests {
     use super::*;
     use crate::api::{Algorithm, BuildConfig};
     use crate::cache::CacheKey;
+    use crate::oracle::QueryEngine;
     use usnae_graph::generators;
 
     #[test]
@@ -648,8 +471,9 @@ mod tests {
         let key = CacheKey::new(&g, c.name(), &cfg);
         std::fs::write(&path, Snapshot::from_output(key, &out).encode()).unwrap();
 
+        // The on-disk snapshot is read through the mapped backend.
         let heap = HeapBackend::from_output(&out);
-        let disk = SnapshotBackend::open(&path).unwrap();
+        let disk = MappedBackend::open(&path).unwrap();
         for b in [&heap as &dyn OutputBackend, &disk] {
             assert_eq!(b.algorithm(), "centralized");
             assert_eq!(b.num_vertices(), out.emulator.num_vertices());
@@ -661,47 +485,8 @@ mod tests {
         }
         assert!(out.certified.is_some(), "centralized certifies a pair");
         assert_eq!(heap.kind(), "heap");
-        assert_eq!(disk.kind(), "snapshot");
+        assert_eq!(disk.kind(), "mapped");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn partitioned_backend_merges_back_to_the_exact_stream() {
-        let g = generators::gnp_connected(80, 0.08, 7).unwrap();
-        let cfg = BuildConfig::default();
-        for algo in [Algorithm::Centralized, Algorithm::Spanner] {
-            let c = algo.construction();
-            let out = c.build(&g, &cfg).unwrap();
-            let heap = HeapBackend::new(out.emulator.clone(), c.name());
-            for policy in PartitionPolicy::all() {
-                for shards in [1usize, 2, 4, 7] {
-                    let part = PartitionedBackend::from_output(&out, policy, shards);
-                    assert_eq!(part.kind(), "partitioned");
-                    assert_eq!(part.num_shards(), shards.min(g.num_vertices()));
-                    assert_eq!(part.policy(), policy);
-                    assert_eq!(part.algorithm(), c.name());
-                    assert_eq!(part.num_vertices(), heap.num_vertices());
-                    assert_eq!(part.num_edges(), heap.num_edges());
-                    assert_eq!(part.stream_fingerprint(), heap.stream_fingerprint());
-                    assert_eq!(part.certified(), out.certified);
-                    // Every record lands in exactly one shard, ascending.
-                    let total: usize = (0..part.num_shards())
-                        .map(|s| part.shard_records(s).len())
-                        .sum();
-                    assert_eq!(total, out.emulator.provenance().len());
-                    for s in 0..part.num_shards() {
-                        assert!(part.shard_records(s).windows(2).all(|w| w[0].0 < w[1].0));
-                    }
-                    // The merge reproduces the original insertion stream.
-                    let live = part.materialize().unwrap();
-                    assert_eq!(
-                        live.provenance(),
-                        out.emulator.provenance(),
-                        "{policy} shards={shards}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -729,12 +514,17 @@ mod tests {
         let live = mapped.materialize().unwrap();
         assert_eq!(live.provenance(), out.emulator.provenance());
 
-        // Serving: the engine holds the mapped CSR, not a heap emulator,
-        // and answers are byte-identical to the heap-backed engine's.
-        let heap_engine = crate::oracle::QueryEngine::open(&heap).unwrap();
-        let map_engine = crate::oracle::QueryEngine::open(&mapped).unwrap();
-        assert!(heap_engine.emulator().is_some());
-        assert!(map_engine.emulator().is_none(), "no heap copy when mapped");
+        // Serving: the mapped engine answers from the file's own CSR
+        // section, byte-identical to the heap engine's frozen store, and
+        // its answers equal the heap-backed engine's.
+        let heap_engine = QueryEngine::open(&heap).unwrap();
+        let map_engine = QueryEngine::open(&mapped).unwrap();
+        assert!(!heap_engine.store().is_mapped());
+        assert!(map_engine.store().is_mapped(), "no heap copy when mapped");
+        assert_eq!(
+            map_engine.store().as_bytes(),
+            heap_engine.store().as_bytes()
+        );
         assert_eq!(map_engine.num_vertices(), heap_engine.num_vertices());
         assert_eq!(map_engine.num_edges(), heap_engine.num_edges());
         for (u, v) in usnae_graph::distance::sample_pairs(&g, 30, 3) {
@@ -744,7 +534,8 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_backend_rejects_rot_on_materialize() {
+    fn mapped_backend_rejects_rot_on_materialize() {
+        use std::io::Write;
         let g = generators::grid2d(5, 5).unwrap();
         let cfg = BuildConfig::default();
         let c = Algorithm::Centralized.construction();
@@ -757,13 +548,20 @@ mod tests {
         let key = CacheKey::new(&g, c.name(), &cfg);
         std::fs::write(&path, Snapshot::from_output(key, &out).encode()).unwrap();
 
-        let backend = SnapshotBackend::open(&path).unwrap();
-        // Rot the file after open: the handle's metadata is stale now.
+        let backend = MappedBackend::open(&path).unwrap();
+        // Rot the file in place after open (same length, so the mapping
+        // stays valid): the handle's metadata is stale now.
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
-        std::fs::write(&path, &bytes).unwrap();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .write_all(&bytes)
+            .unwrap();
         assert!(backend.materialize().is_err(), "rot must not materialize");
+        assert!(QueryEngine::open(&backend).is_err(), "rot must not serve");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -47,7 +47,7 @@ impl Centralized {
             },
             algorithm: self.name(),
         };
-        finalize_worker_build(&mut out, held, cfg)?;
+        finalize_worker_build(&mut out, held)?;
         Ok(out)
     }
 }
@@ -121,7 +121,7 @@ impl FastCentralized {
             },
             algorithm: self.name(),
         };
-        finalize_worker_build(&mut out, held, cfg)?;
+        finalize_worker_build(&mut out, held)?;
         Ok(out)
     }
 }
@@ -259,7 +259,7 @@ impl Spanner {
             },
             algorithm: self.name(),
         };
-        finalize_worker_build(&mut out, held, cfg)?;
+        finalize_worker_build(&mut out, held)?;
         Ok(out)
     }
 }

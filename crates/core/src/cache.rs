@@ -41,7 +41,7 @@
 //! preserved exactly.
 
 use crate::api::{BuildConfig, BuildError, BuildOutput, CongestStats, Construction};
-use crate::emulator::{stream_fingerprint, EdgeKind, EdgeProvenance, Emulator};
+use crate::emulator::{stream_fingerprint, EdgeKind, EdgeProvenance, EmuCsr, Emulator};
 use crate::exec::{
     BuildStats, CacheStatus, MessageStats, PairStats, PhaseTiming, ShardTiming, TransportKind,
 };
@@ -50,7 +50,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use usnae_congest::Metrics;
 use usnae_graph::metrics::Fnv64;
-use usnae_graph::{ByteMap, Dist, Graph, StorageError, VertexId, WeightedEdge};
+use usnae_graph::{ByteMap, Graph, StorageError, WeightedEdge};
 
 /// Snapshot file magic: identifies the format before any parsing.
 pub const MAGIC: &[u8; 8] = b"USNAESNP";
@@ -62,8 +62,8 @@ pub const MAGIC: &[u8; 8] = b"USNAESNP";
 /// directory** — five 8-aligned sections located by an offset/length
 /// table right after the header — including the [`SECTION_EMU_CSR`]
 /// weighted-CSR image of the emulator, so a snapshot can be indexed and
-/// served ([`MappedSnapshot`], [`MappedEmulator`]) without decoding the
-/// record stream.
+/// served ([`MappedSnapshot`], [`EmuCsr`]) without decoding the record
+/// stream.
 pub const VERSION: u32 = 4;
 
 /// v4 section id: cache key (graph fingerprint, config digest, algorithm).
@@ -77,7 +77,7 @@ pub const SECTION_RECORDS: u64 = 3;
 /// messages).
 pub const SECTION_STATS: u64 = 4;
 /// v4 section id: the emulator's weighted adjacency as an all-`u64` CSR
-/// (the [`MappedEmulator`] Dijkstra substrate).
+/// (the [`EmuCsr`] layout every query engine serves from).
 pub const SECTION_EMU_CSR: u64 = 5;
 
 /// The five v4 sections, directory order.
@@ -595,56 +595,6 @@ fn read_transport_stats(
     Ok((transport, messages))
 }
 
-/// Serializes the emulator adjacency implied by `records` as an all-`u64`
-/// weighted CSR: `n`, `m` (distinct undirected edges), `adj_len = 2m`, the
-/// `(n+1)`-entry offset array, then `(neighbor, weight)` pairs with every
-/// vertex's neighbors ascending. The weight of a pair is the minimum over
-/// the stream (the emulator's lighter-parallel-edge-wins rule), so the
-/// section is a pure function of the records: decode byte-compares it
-/// against a recomputation, and [`MappedEmulator`] runs Dijkstra over it
-/// without ever touching the record stream.
-fn emu_csr_section(n: usize, records: &[(WeightedEdge, EdgeProvenance)]) -> Vec<u8> {
-    let mut weights: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-    for (e, _) in records {
-        let w = weights.entry((e.u, e.v)).or_insert(e.weight);
-        if e.weight < *w {
-            *w = e.weight;
-        }
-    }
-    let mut offsets = vec![0u64; n + 1];
-    for &(u, v) in weights.keys() {
-        offsets[u + 1] += 1;
-        offsets[v + 1] += 1;
-    }
-    for v in 0..n {
-        offsets[v + 1] += offsets[v];
-    }
-    let adj_len = offsets[n] as usize;
-    // Pairs iterate in ascending (u, v) order with u < v, so each row
-    // receives first its smaller neighbors (ascending u) and then its
-    // larger ones (ascending v) — sorted without an explicit sort.
-    let mut adj = vec![(0u64, 0u64); adj_len];
-    let mut cursor: Vec<usize> = offsets[..n].iter().map(|&o| o as usize).collect();
-    for (&(u, v), &wt) in &weights {
-        adj[cursor[u]] = (v as u64, wt);
-        cursor[u] += 1;
-        adj[cursor[v]] = (u as u64, wt);
-        cursor[v] += 1;
-    }
-    let mut w = Writer::new();
-    w.u64(n as u64);
-    w.u64(weights.len() as u64);
-    w.u64(adj_len as u64);
-    for o in &offsets {
-        w.u64(*o);
-    }
-    for (nb, wt) in adj {
-        w.u64(nb);
-        w.u64(wt);
-    }
-    w.buf
-}
-
 /// Byte ranges of the five v4 sections inside the checksummed content.
 struct SectionTable {
     key: std::ops::Range<usize>,
@@ -779,7 +729,7 @@ impl Snapshot {
         write_core_stats(&mut stats, &self.stats);
         write_transport_stats(&mut stats, &self.stats);
 
-        let emu = emu_csr_section(self.num_vertices, &self.records);
+        let emu = EmuCsr::freeze(self.num_vertices, &self.records);
 
         let bodies = [key.buf, meta.buf, records.buf, stats.buf, emu];
         let mut w = Writer::new();
@@ -890,7 +840,7 @@ impl Snapshot {
         let (transport, messages) = read_transport_stats(&mut r)?;
         section_end(&r, "stats")?;
 
-        if content[table.emu.clone()] != emu_csr_section(num_vertices, &records)[..] {
+        if content[table.emu.clone()] != EmuCsr::freeze(num_vertices, &records)[..] {
             return Err(SnapshotError::Corrupt {
                 reason: "emulator CSR section does not match the record stream".into(),
             });
@@ -971,26 +921,20 @@ fn storage_to_snapshot_error(e: StorageError) -> SnapshotError {
 /// serving side of the codec. The file is mapped ([`ByteMap`]: mmap where
 /// available, a paged read elsewhere) and **indexed, not decoded**: open
 /// verifies the whole-file checksum, parses the small KEY/META sections,
-/// and structurally validates the [`SECTION_EMU_CSR`] index (monotone
-/// offsets, in-range neighbors) so later reads can never go out of
-/// bounds — but the record stream is never materialized. Files of any
-/// other codec version are refused with
-/// [`SnapshotError::UnsupportedVersion`].
+/// and structurally validates the [`SECTION_EMU_CSR`] index
+/// ([`EmuCsr`]) so later reads can never go out of bounds — but the
+/// record stream is never materialized. Files of any other codec version
+/// are refused with [`SnapshotError::UnsupportedVersion`].
 #[derive(Debug)]
 pub struct MappedSnapshot {
-    map: ByteMap,
+    /// The served emulator; it owns the mapping of the whole file.
+    csr: EmuCsr,
     path: PathBuf,
     key: CacheKey,
     stream_fingerprint: u64,
-    num_vertices: usize,
-    num_edges: usize,
     num_records: usize,
     certified: Option<(f64, f64)>,
     size_bound: Option<f64>,
-    /// Absolute byte offset of the EMU_CSR `(n+1)`-entry offset array.
-    emu_offsets_at: usize,
-    /// Absolute byte offset of the EMU_CSR `(neighbor, weight)` pairs.
-    emu_adj_at: usize,
 }
 
 impl MappedSnapshot {
@@ -1056,64 +1000,17 @@ impl MappedSnapshot {
         let mut r = Reader::new(&content[table.records.clone()]);
         let num_records = r.count()?;
 
-        // Structural validation of the served index, so Dijkstra over it
-        // can never read out of bounds: declared lengths consistent,
-        // offsets monotone and ending at the adjacency length, every
-        // neighbor id in range.
-        let emu = table.emu.clone();
-        let mut r = Reader::new(&content[emu.clone()]);
-        let n = r.u64()? as usize;
-        let m = r.u64()? as usize;
-        let adj_len = r.u64()? as usize;
-        if n != num_vertices {
-            return Err(SnapshotError::Corrupt {
-                reason: format!("emulator CSR has {n} vertices, meta declares {num_vertices}"),
-            });
-        }
-        if Some(adj_len) != m.checked_mul(2) {
-            return Err(SnapshotError::Corrupt {
-                reason: format!("emulator CSR adjacency length {adj_len} is not 2·{m}"),
-            });
-        }
-        let expected_len = 24 + 8 * (n + 1) + 16 * adj_len;
-        if emu.len() != expected_len {
+        let csr = EmuCsr::parse(map, table.emu)?;
+        if csr.num_vertices() != num_vertices {
             return Err(SnapshotError::Corrupt {
                 reason: format!(
-                    "emulator CSR section is {} bytes, layout requires {expected_len}",
-                    emu.len()
+                    "emulator CSR has {} vertices, meta declares {num_vertices}",
+                    csr.num_vertices()
                 ),
             });
         }
-        let emu_offsets_at = emu.start + 24;
-        let emu_adj_at = emu_offsets_at + 8 * (n + 1);
-        let mut prev = 0u64;
-        for i in 0..=n {
-            let o = map.u64_at(emu_offsets_at + 8 * i);
-            if o < prev || o > adj_len as u64 {
-                return Err(SnapshotError::Corrupt {
-                    reason: format!("emulator CSR offset {i} is not monotone"),
-                });
-            }
-            prev = o;
-        }
-        if prev != adj_len as u64 {
-            return Err(SnapshotError::Corrupt {
-                reason: format!(
-                    "emulator CSR offsets end at {prev}, adjacency length is {adj_len}"
-                ),
-            });
-        }
-        for i in 0..adj_len {
-            let nb = map.u64_at(emu_adj_at + 16 * i);
-            if nb >= n as u64 {
-                return Err(SnapshotError::Corrupt {
-                    reason: format!("emulator CSR neighbor {nb} out of range for n={n}"),
-                });
-            }
-        }
-
         Ok(MappedSnapshot {
-            map,
+            csr,
             path,
             key: CacheKey {
                 graph_fingerprint,
@@ -1121,13 +1018,9 @@ impl MappedSnapshot {
                 config_digest,
             },
             stream_fingerprint,
-            num_vertices,
-            num_edges: m,
             num_records,
             certified,
             size_bound,
-            emu_offsets_at,
-            emu_adj_at,
         })
     }
 
@@ -1148,12 +1041,12 @@ impl MappedSnapshot {
 
     /// Emulator vertex count.
     pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.csr.num_vertices()
     }
 
     /// Distinct-edge count, from the EMU_CSR header — no record decode.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.csr.num_edges()
     }
 
     /// Insertion-record count, from the RECORDS section header.
@@ -1173,7 +1066,7 @@ impl MappedSnapshot {
 
     /// Whether the file is OS-mapped (`false`: the paged fallback).
     pub fn is_mapped(&self) -> bool {
-        self.map.is_mapped()
+        self.csr.is_mapped()
     }
 
     /// Full verification — the same decode the cache integrity pass runs,
@@ -1184,29 +1077,17 @@ impl MappedSnapshot {
     ///
     /// Any [`SnapshotError`] the full decode reports.
     pub fn verify(&self) -> Result<(), SnapshotError> {
-        Snapshot::decode(self.map.bytes()).map(|_| ())
+        Snapshot::decode(self.csr.file_bytes()).map(|_| ())
     }
 
-    /// Converts this handle into its Dijkstra-ready [`MappedEmulator`].
-    pub fn into_emulator(self) -> MappedEmulator {
-        MappedEmulator {
-            map: self.map,
-            num_vertices: self.num_vertices,
-            num_edges: self.num_edges,
-            offsets_at: self.emu_offsets_at,
-            adj_at: self.emu_adj_at,
-        }
-    }
-
-    /// Opens an independent [`MappedEmulator`] over the same file,
-    /// re-validating it (a file swapped out under this handle is caught,
-    /// never trusted).
+    /// Opens an independent [`EmuCsr`] over the same file, re-validating
+    /// it (a file swapped out under this handle is caught, never trusted).
     ///
     /// # Errors
     ///
     /// Any open-time failure, plus [`SnapshotError::FingerprintMismatch`]
     /// when the file no longer holds the stream this handle indexed.
-    pub fn emulator(&self) -> Result<MappedEmulator, SnapshotError> {
+    pub fn reopen_csr(&self) -> Result<EmuCsr, SnapshotError> {
         let reopened = MappedSnapshot::open(&self.path)?;
         if reopened.stream_fingerprint != self.stream_fingerprint {
             return Err(SnapshotError::FingerprintMismatch {
@@ -1214,95 +1095,7 @@ impl MappedSnapshot {
                 recomputed: reopened.stream_fingerprint,
             });
         }
-        Ok(reopened.into_emulator())
-    }
-}
-
-/// An emulator served straight from a v4 snapshot's [`SECTION_EMU_CSR`]
-/// bytes: Dijkstra walks the mapped offset/adjacency arrays, so answering
-/// queries holds `O(n)` distance state but never the `O(m)` structure on
-/// the heap. Distances are shortest-path distances over exactly the edge
-/// set the heap [`Emulator`] holds, and shortest distances are unique —
-/// answers are byte-identical to the heap path (the out-of-core
-/// conformance suite locks this registry-wide).
-#[derive(Debug)]
-pub struct MappedEmulator {
-    map: ByteMap,
-    num_vertices: usize,
-    num_edges: usize,
-    offsets_at: usize,
-    adj_at: usize,
-}
-
-impl MappedEmulator {
-    /// Opens a v4 snapshot file directly as a served emulator.
-    ///
-    /// # Errors
-    ///
-    /// Any [`MappedSnapshot::open`] failure.
-    pub fn open(path: impl Into<PathBuf>) -> Result<Self, SnapshotError> {
-        Ok(MappedSnapshot::open(path)?.into_emulator())
-    }
-
-    fn off(&self, v: VertexId) -> usize {
-        self.map.u64_at(self.offsets_at + 8 * v) as usize
-    }
-
-    /// Emulator vertex count.
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    /// Distinct-edge count.
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// Degree of `v` in the emulator (distinct neighbors — the same count
-    /// the heap emulator's adjacency map reports).
-    pub fn degree(&self, v: VertexId) -> usize {
-        self.off(v + 1) - self.off(v)
-    }
-
-    /// Neighbors of `v` with weights, ascending by neighbor id.
-    pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Dist)> + '_ {
-        (self.off(v)..self.off(v + 1)).map(move |i| {
-            let at = self.adj_at + 16 * i;
-            (self.map.u64_at(at) as usize, self.map.u64_at(at + 8))
-        })
-    }
-
-    /// Whether the underlying file is OS-mapped.
-    pub fn is_mapped(&self) -> bool {
-        self.map.is_mapped()
-    }
-
-    /// Single-source distances in `H` — Dijkstra over the mapped CSR.
-    /// Identical output to [`Emulator::distances_from`]: shortest
-    /// distances are unique, so the storage layout cannot change them.
-    pub fn distances_from(&self, source: VertexId) -> Vec<Option<Dist>> {
-        let mut dist: Vec<Option<Dist>> = vec![None; self.num_vertices];
-        let mut heap = std::collections::BinaryHeap::new();
-        dist[source] = Some(0);
-        heap.push(std::cmp::Reverse((0, source)));
-        while let Some(std::cmp::Reverse((d, v))) = heap.pop() {
-            if dist[v] != Some(d) {
-                continue;
-            }
-            for (nb, w) in self.neighbors(v) {
-                let nd = d + w;
-                if dist[nb].is_none_or(|cur| nd < cur) {
-                    dist[nb] = Some(nd);
-                    heap.push(std::cmp::Reverse((nd, nb)));
-                }
-            }
-        }
-        dist
-    }
-
-    /// Distance between `u` and `v` in `H` (`None` when disconnected).
-    pub fn distance(&self, u: VertexId, v: VertexId) -> Option<Dist> {
-        self.distances_from(u)[v]
+        Ok(reopened.csr)
     }
 }
 
@@ -2131,7 +1924,7 @@ mod tests {
         mapped.verify().unwrap();
 
         let heap = out.emulator;
-        let em = mapped.emulator().unwrap();
+        let em = mapped.reopen_csr().unwrap();
         assert_eq!(em.num_vertices(), heap.num_vertices());
         assert_eq!(em.num_edges(), heap.num_edges());
         for v in 0..heap.num_vertices() {

@@ -214,7 +214,7 @@ impl<'g, S: AdjStorage> Engine<'g, S> {
     ///
     /// The report's `messages` are a snapshot *including* the retain
     /// traffic; the backend folds in the fetch traffic and final shutdown
-    /// when it materializes (see [`finalize_worker_build`]).
+    /// when it verifies the merge (see [`finalize_worker_build`]).
     ///
     /// # Errors
     ///
@@ -316,43 +316,15 @@ fn shard_inits(sharded: &ShardedCsr, num_vertices: usize) -> Vec<ShardInit> {
         .collect()
 }
 
-/// Cross-checks a worker build's output partitions: routes the finished
-/// stream through [`PartitionedBackend`](crate::api::PartitionedBackend)
-/// under the build's own layout and materializes the merge. Only runs for
-/// worker builds (`stats.messages` present) — the shared-array path is
-/// already covered by the partition-conformance suite.
-///
-/// # Errors
-///
-/// [`BuildError::Worker`] with a [`WorkerError::Corrupt`] payload when the
-/// merged partitions do not reproduce the built stream.
-pub fn verify_partitioned_merge(
-    out: &crate::api::BuildOutput,
-    cfg: &BuildConfig,
-) -> Result<(), BuildError> {
-    use crate::api::OutputBackend;
-    if out.stats.messages.is_none() {
-        return Ok(());
-    }
-    crate::api::PartitionedBackend::from_output(out, cfg.partition, cfg.shards.max(1))
-        .materialize()
-        .map(|_| ())
-        .map_err(|e| {
-            BuildError::Worker(WorkerError::Corrupt {
-                reason: format!("worker build failed the partitioned merge check: {e}"),
-            })
-        })
-}
-
 /// Finishes a worker build whose output stayed sharded across the pool
 /// ([`Engine::finish_retaining`]): routes the worker-held partitions
 /// through a [`RemotePartitionedBackend`](crate::api::RemotePartitionedBackend)
-/// and materializes the lazy merge — streaming every record back over the
+/// and verifies the lazy merge — streaming every record back over the
 /// live transport and proving the merge byte-identical to the built
-/// stream by fingerprint — then folds the final [`MessageStats`]
-/// (retain and fetch traffic included) into `out.stats.messages` and
-/// runs the in-memory [`verify_partitioned_merge`] check. In-process builds
-/// (`held` is `None`) skip straight to the in-memory check.
+/// stream by fingerprint, without building an emulator — then folds the
+/// final [`MessageStats`] (retain and fetch traffic included) into
+/// `out.stats.messages`. In-process builds (`held` is `None`) have nothing
+/// to verify.
 ///
 /// # Errors
 ///
@@ -362,28 +334,24 @@ pub fn verify_partitioned_merge(
 pub fn finalize_worker_build(
     out: &mut crate::api::BuildOutput,
     held: Option<HeldOutputs>,
-    cfg: &BuildConfig,
 ) -> Result<(), BuildError> {
-    use crate::api::OutputBackend;
-    if let Some(held) = held {
-        let backend = crate::api::RemotePartitionedBackend::from_held(out, held);
-        match backend.materialize() {
-            Ok(_) => {}
-            Err(e) => {
-                // Surface the transport's own typed error when there is
-                // one (a dead worker mid-fetch), not its stringified echo.
-                return Err(BuildError::Worker(backend.take_worker_error().unwrap_or(
-                    WorkerError::Corrupt {
-                        reason: format!("worker-held partition merge failed: {e}"),
-                    },
-                )));
-            }
-        }
-        if let Some(stats) = backend.final_stats() {
-            out.stats.messages = Some(stats);
-        }
+    let Some(held) = held else {
+        return Ok(());
+    };
+    let backend = crate::api::RemotePartitionedBackend::from_held(out, held);
+    if let Err(e) = backend.verify() {
+        // Surface the transport's own typed error when there is one (a
+        // dead worker mid-fetch), not its stringified echo.
+        return Err(BuildError::Worker(backend.take_worker_error().unwrap_or(
+            WorkerError::Corrupt {
+                reason: format!("worker-held partition merge failed: {e}"),
+            },
+        )));
     }
-    verify_partitioned_merge(out, cfg)
+    if let Some(stats) = backend.final_stats() {
+        out.stats.messages = Some(stats);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

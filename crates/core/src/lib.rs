@@ -73,6 +73,6 @@ pub mod spanner;
 pub mod verify;
 
 pub use api::{Algorithm, BuildConfig, BuildError, BuildOutput, Construction, EmulatorBuilder};
-pub use emulator::{EdgeKind, EdgeProvenance, Emulator};
+pub use emulator::{EdgeKind, EdgeProvenance, EmuCsr, Emulator};
 pub use error::ParamError;
-pub use oracle::{Certified, EmStore, QueryEngine};
+pub use oracle::{Certified, QueryEngine};

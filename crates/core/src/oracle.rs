@@ -10,7 +10,9 @@
 //!   [`OutputBackend`](crate::api::OutputBackend), e.g. a stored snapshot)
 //!   and answers distance queries with a **certified** `(α, β)` bound
 //!   threaded from the construction's proof object: every answer `d̂`
-//!   satisfies `d_G(u,v) ≤ d̂ ≤ α·d_G(u,v) + β`.
+//!   satisfies `d_G(u,v) ≤ d̂ ≤ α·d_G(u,v) + β`. Every engine serves
+//!   from one structure, the frozen emulator [`EmuCsr`]: frozen from a
+//!   live build, or mapped straight from a stored snapshot.
 //! * Batched queries ([`QueryEngine::distances`]) share SSSP trees across
 //!   the batch: pairs are oriented toward their most-frequent endpoint, so
 //!   `k` queries from one hub cost one Dijkstra, not `k`.
@@ -32,9 +34,9 @@
 
 use crate::api::backend::OutputBackend;
 use crate::api::BuildOutput;
-use crate::cache::{MappedEmulator, SnapshotError};
+use crate::cache::SnapshotError;
 use crate::centralized::{build_centralized, ProcessingOrder};
-use crate::emulator::Emulator;
+use crate::emulator::{EmuCsr, Emulator};
 use crate::error::ParamError;
 use crate::params::CentralizedParams;
 use std::cell::{Cell, RefCell};
@@ -162,68 +164,21 @@ impl TreeCache {
             return;
         }
         self.order.push_back(source);
+        self.evict_to_capacity();
+    }
+
+    /// Changes the retention bound (min 1), evicting least-recently-used
+    /// entries at once when the new bound is tighter.
+    pub fn set_capacity(&mut self, capacity: usize) {
+        self.capacity = capacity.max(1);
+        self.evict_to_capacity();
+    }
+
+    fn evict_to_capacity(&mut self) {
         while self.trees.len() > self.capacity {
             let victim = self.order.pop_front().expect("order tracks every entry");
             self.trees.remove(&victim);
             self.evictions += 1;
-        }
-    }
-}
-
-/// Where a [`QueryEngine`]'s structure lives: on this process's heap (the
-/// default — every live build) or served straight from a mapped v4
-/// snapshot file ([`MappedEmulator`]), which is how
-/// [`QueryEngine::open`] over a
-/// [`MappedBackend`](crate::api::MappedBackend) answers certified queries
-/// without ever materializing the structure. Both stores answer every
-/// query identically — shortest distances are unique, so the storage
-/// layout cannot change an answer.
-#[derive(Debug)]
-pub enum EmStore {
-    /// A live in-memory emulator.
-    Heap(Emulator),
-    /// A served v4 snapshot (Dijkstra over the mapped CSR section).
-    Mapped(MappedEmulator),
-}
-
-impl EmStore {
-    /// Vertex count of the structure.
-    pub fn num_vertices(&self) -> usize {
-        match self {
-            EmStore::Heap(h) => h.num_vertices(),
-            EmStore::Mapped(m) => m.num_vertices(),
-        }
-    }
-
-    /// Distinct-edge count of the structure.
-    pub fn num_edges(&self) -> usize {
-        match self {
-            EmStore::Heap(h) => h.num_edges(),
-            EmStore::Mapped(m) => m.num_edges(),
-        }
-    }
-
-    /// Degree of `v` (distinct neighbors — identical across stores).
-    pub fn degree(&self, v: VertexId) -> usize {
-        match self {
-            EmStore::Heap(h) => h.graph().degree(v),
-            EmStore::Mapped(m) => m.degree(v),
-        }
-    }
-
-    /// Single-source distances in `H`.
-    pub fn distances_from(&self, source: VertexId) -> Vec<Option<Dist>> {
-        match self {
-            EmStore::Heap(h) => h.distances_from(source),
-            EmStore::Mapped(m) => m.distances_from(source),
-        }
-    }
-
-    /// The live emulator, when this store holds one on the heap.
-    pub fn as_heap(&self) -> Option<&Emulator> {
-        match self {
-            EmStore::Heap(h) => Some(h),
-            EmStore::Mapped(_) => None,
         }
     }
 }
@@ -251,12 +206,11 @@ impl LandmarkIndex {
     /// Builds the index: picks `min(k, n)` landmarks by descending
     /// emulator degree (ascending id on ties) and runs one Dijkstra each.
     pub fn build(h: &Emulator, k: usize) -> Self {
-        Self::build_store(&EmStore::Heap(h.clone()), k)
+        Self::build_over(&EmuCsr::from_emulator(h), k)
     }
 
-    /// [`build`](Self::build) over either store. Degrees and distances are
-    /// identical across stores, so so is the index.
-    pub(crate) fn build_store(store: &EmStore, k: usize) -> Self {
+    /// [`build`](Self::build) over a frozen emulator.
+    pub(crate) fn build_over(store: &EmuCsr, k: usize) -> Self {
         let n = store.num_vertices();
         let mut by_degree: Vec<VertexId> = (0..n).collect();
         by_degree.sort_by_key(|&v| (std::cmp::Reverse(store.degree(v)), v));
@@ -328,8 +282,8 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 /// Construct one from a live build ([`QueryEngine::from_output`], builder
 /// [`query_engine`](crate::api::EmulatorBuilder::query_engine)) or from any
 /// opened [`OutputBackend`] ([`QueryEngine::open`]) — e.g. a
-/// [`SnapshotBackend`](crate::api::SnapshotBackend) over a stored cache
-/// entry, so a serving process never re-runs the construction.
+/// [`MappedBackend`](crate::api::MappedBackend) over a stored cache entry,
+/// so a serving process never re-runs the construction.
 ///
 /// # Example
 ///
@@ -355,7 +309,7 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 /// ```
 #[derive(Debug)]
 pub struct QueryEngine {
-    store: EmStore,
+    store: EmuCsr,
     algorithm: String,
     alpha: f64,
     beta: f64,
@@ -369,19 +323,20 @@ pub struct QueryEngine {
 impl QueryEngine {
     /// An engine over an emulator with its certified stretch pair (`None`
     /// = uncertified: `α = 1`, `β = ∞` — the lower bound still holds, every
-    /// emulator here is distance-nondecreasing).
+    /// emulator here is distance-nondecreasing). The emulator is frozen
+    /// into an [`EmuCsr`] and dropped.
     pub fn new(
         emulator: Emulator,
         algorithm: impl Into<String>,
         certified: Option<(f64, f64)>,
     ) -> Self {
-        QueryEngine::from_store(EmStore::Heap(emulator), algorithm, certified)
+        QueryEngine::from_store(EmuCsr::from_emulator(&emulator), algorithm, certified)
     }
 
-    /// An engine over either store — how [`open`](Self::open) serves a
+    /// An engine over a frozen emulator — how [`open`](Self::open) serves a
     /// mapped snapshot without materializing it.
     pub fn from_store(
-        store: EmStore,
+        store: EmuCsr,
         algorithm: impl Into<String>,
         certified: Option<(f64, f64)>,
     ) -> Self {
@@ -406,13 +361,11 @@ impl QueryEngine {
     }
 
     /// Opens an engine over any output backend, threading through the
-    /// backend's certified pair. Heap-style backends materialize the
-    /// emulator once (for a
-    /// [`SnapshotBackend`](crate::api::SnapshotBackend) this decodes and
-    /// verifies the stored snapshot; the construction itself never
-    /// re-runs); a [`MappedBackend`](crate::api::MappedBackend) is served
-    /// straight from its snapshot file — certified answers with **no full
-    /// materialization** (see [`OutputBackend::serve`]).
+    /// backend's certified pair. Heap-style backends freeze their emulator
+    /// into an [`EmuCsr`] (the construction itself never re-runs); a
+    /// [`MappedBackend`](crate::api::MappedBackend) is served straight from
+    /// its snapshot file — certified answers with **no materialization**
+    /// (see [`OutputBackend::serve`]).
     ///
     /// # Errors
     ///
@@ -427,22 +380,13 @@ impl QueryEngine {
 
     /// Sets how many SSSP trees the LRU cache retains (min 1).
     pub fn with_cache_capacity(self, capacity: usize) -> Self {
-        self.cache.borrow_mut().capacity = capacity.max(1);
-        {
-            // Shrink immediately if the new bound is tighter.
-            let mut cache = self.cache.borrow_mut();
-            while cache.trees.len() > cache.capacity {
-                let victim = cache.order.pop_front().expect("order tracks entries");
-                cache.trees.remove(&victim);
-                cache.evictions += 1;
-            }
-        }
+        self.cache.borrow_mut().set_capacity(capacity);
         self
     }
 
     /// Precomputes a [`LandmarkIndex`] of `k` landmarks (0 removes it).
     pub fn with_landmarks(mut self, k: usize) -> Self {
-        self.landmarks = (k > 0).then(|| LandmarkIndex::build_store(&self.store, k));
+        self.landmarks = (k > 0).then(|| LandmarkIndex::build_over(&self.store, k));
         self
     }
 
@@ -466,15 +410,9 @@ impl QueryEngine {
         &self.algorithm
     }
 
-    /// The underlying emulator, when this engine holds one on the heap
-    /// (`None` for an engine served from a mapped snapshot — the whole
-    /// point is that no live emulator exists).
-    pub fn emulator(&self) -> Option<&Emulator> {
-        self.store.as_heap()
-    }
-
-    /// Where the structure answering queries lives.
-    pub fn store(&self) -> &EmStore {
+    /// The structure answering queries ([`EmuCsr::is_mapped`] tells
+    /// whether it is served from a mapped snapshot file).
+    pub fn store(&self) -> &EmuCsr {
         &self.store
     }
 
@@ -665,6 +603,7 @@ impl BuildOutput {
 /// ```
 #[derive(Debug)]
 pub struct ApproxDistanceOracle {
+    emulator: Emulator,
     engine: QueryEngine,
 }
 
@@ -683,8 +622,10 @@ impl ApproxDistanceOracle {
 
     /// Wraps an existing emulator with its certified stretch pair.
     pub fn from_emulator(emulator: Emulator, alpha: f64, beta: f64) -> Self {
+        let store = EmuCsr::from_emulator(&emulator);
         ApproxDistanceOracle {
-            engine: QueryEngine::new(emulator, "centralized", Some((alpha, beta))),
+            emulator,
+            engine: QueryEngine::from_store(store, "centralized", Some((alpha, beta))),
         }
     }
 
@@ -701,9 +642,7 @@ impl ApproxDistanceOracle {
 
     /// The underlying emulator (oracles always build on the heap).
     pub fn emulator(&self) -> &Emulator {
-        self.engine
-            .emulator()
-            .expect("oracle engines are heap-backed")
+        &self.emulator
     }
 
     /// The engine answering this oracle's queries.
@@ -801,6 +740,10 @@ mod tests {
         cache.insert(1, vec![Some(0)]);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.sources().collect::<Vec<_>>(), vec![3, 1]);
+        // A tighter bound evicts through the same LRU order, at once.
+        cache.set_capacity(1);
+        assert_eq!(cache.sources().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(cache.counters().2, 2);
     }
 
     #[test]

@@ -369,14 +369,9 @@ pub fn e9_query_accuracy(
             let Ok(out) = crate::caching::sweep_build(c.as_ref(), &w.graph, &cfg) else {
                 continue; // parameters out of range for this lineage
             };
-            let certified = out.certified;
+            let lm_engine = QueryEngine::new(out.emulator.clone(), out.algorithm, out.certified)
+                .with_landmarks(landmarks);
             let engine = out.into_query_engine();
-            let lm_engine = QueryEngine::new(
-                engine.emulator().expect("heap-backed engine").clone(),
-                engine.algorithm(),
-                certified,
-            )
-            .with_landmarks(landmarks);
             let (alpha, beta) = engine.guarantee();
             let (_, lm_beta) = lm_engine.landmark_guarantee();
             let answers = engine.distances(&sampled);

@@ -287,6 +287,26 @@ impl ByteMap {
         })
     }
 
+    /// An owned, 8-aligned copy of `bytes` on the paged arm: how a
+    /// structure frozen in memory is read through the same view as one
+    /// mapped from a file.
+    pub fn from_bytes(bytes: &[u8]) -> ByteMap {
+        let words = bytes
+            .chunks(8)
+            .map(|c| {
+                let mut w = [0u8; 8];
+                w[..c.len()].copy_from_slice(c);
+                u64::from_ne_bytes(w)
+            })
+            .collect();
+        ByteMap {
+            backing: Backing::Paged {
+                words,
+                len: bytes.len(),
+            },
+        }
+    }
+
     /// Number of valid bytes.
     pub fn len(&self) -> usize {
         match &self.backing {

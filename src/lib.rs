@@ -253,7 +253,7 @@
 //! std::fs::write(dir.join("g.usnae"), snap.encode())?;
 //! let backend = MappedBackend::open(&dir.join("g.usnae"))?; // zero-copy serving
 //! let engine = QueryEngine::open(&backend)?;
-//! assert!(engine.emulator().is_none()); // no heap emulator materialized
+//! assert!(engine.store().is_mapped()); // served from the file's own pages
 //! assert_eq!(
 //!     engine.distance(0, 63).value,
 //!     out.into_query_engine().distance(0, 63).value,

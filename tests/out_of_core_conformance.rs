@@ -7,8 +7,10 @@
 //! same certification, and byte-identical snapshot sections — and a
 //! query engine serving the stored snapshot zero-copy
 //! ([`MappedBackend`] + [`QueryEngine::open`]) must answer every query
-//! identically to a live heap engine, without ever materializing a heap
-//! emulator.
+//! identically to a live heap engine, from the snapshot file's own mapped
+//! pages. Both engines serve one structure, the frozen emulator CSR: the
+//! heap engine's freeze must be byte-identical to the stored EMU_CSR
+//! section.
 //!
 //! Byte-identity is asserted per snapshot *section*: the KEY, META,
 //! RECORDS, and EMU_CSR sections are pure functions of `(graph, config,
@@ -19,7 +21,7 @@ mod common;
 
 use common::{fixture_graphs, golden_config, query_pairs};
 use usnae::api::{MappedBackend, QueryEngine};
-use usnae::core::cache::{CacheKey, Snapshot, MAGIC, SECTION_STATS, VERSION};
+use usnae::core::cache::{CacheKey, Snapshot, MAGIC, SECTION_EMU_CSR, SECTION_STATS, VERSION};
 use usnae::graph::MappedGraph;
 use usnae::registry;
 
@@ -123,8 +125,8 @@ fn every_registry_algorithm_builds_byte_identically_from_mapped_storage() {
 
 /// Serving conformance: a zero-copy engine over the stored snapshot
 /// answers every fixture query identically — value, α, and β — to a live
-/// heap engine over the same build, and never materializes a heap
-/// emulator.
+/// heap engine over the same build, from the OS-mapped file; the heap
+/// engine's frozen store is byte-identical to the stored EMU_CSR section.
 #[test]
 fn mapped_serving_answers_match_heap_serving_registry_wide() {
     let dir = scratch("serve");
@@ -137,17 +139,26 @@ fn mapped_serving_answers_match_heap_serving_registry_wide() {
                 .unwrap_or_else(|e| panic!("{} on {tag}: {e}", c.name()));
             let key = CacheKey::new(&g, c.name(), &cfg);
             let snap_path = dir.join(format!("{tag}.{}.usnae-snap", c.name()));
-            std::fs::write(&snap_path, Snapshot::from_output(key, &out).encode())
-                .expect("write snapshot");
+            let bytes = Snapshot::from_output(key, &out).encode();
+            std::fs::write(&snap_path, &bytes).expect("write snapshot");
 
             let heap_engine = QueryEngine::from_output(&out);
+            let (_, emu) = v4_sections(&bytes)
+                .into_iter()
+                .find(|(id, _)| *id == SECTION_EMU_CSR)
+                .expect("v4 snapshots carry an EMU_CSR section");
+            assert!(
+                heap_engine.store().as_bytes() == &bytes[emu],
+                "{} on {tag}: the heap freeze differs from the stored EMU_CSR section",
+                c.name()
+            );
             let backend = MappedBackend::open(&snap_path)
                 .unwrap_or_else(|e| panic!("{} on {tag}: open mapped: {e}", c.name()));
             let mapped_engine = QueryEngine::open(&backend)
                 .unwrap_or_else(|e| panic!("{} on {tag}: serve mapped: {e}", c.name()));
             assert!(
-                mapped_engine.emulator().is_none(),
-                "{} on {tag}: mapped serving materialized a heap emulator",
+                mapped_engine.store().is_mapped(),
+                "{} on {tag}: mapped serving is not served from an OS mapping",
                 c.name()
             );
             assert_eq!(

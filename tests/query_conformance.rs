@@ -13,9 +13,11 @@
 //! backend unmodified. On top of the bound, answers must be *byte-
 //! identical* across every serving configuration that cannot legally
 //! change them: in-memory ([`HeapBackend`]) vs. snapshot-on-disk
-//! ([`SnapshotBackend`]) serving, build thread counts {1, 4}, repeat
+//! ([`MappedBackend`]) serving, build thread counts {1, 4}, repeat
 //! builds, batched vs. one-at-a-time queries, and a warm construction
-//! cache ([`CacheStatus::Hit`]) vs. a cold rebuild.
+//! cache ([`CacheStatus::Hit`]) vs. a cold rebuild. Run it with
+//! `USNAE_NO_MMAP=1` to serve the snapshot leg through the paged reader
+//! instead of an OS mapping.
 //!
 //! The expected answers are pinned as golden fixtures in
 //! `tests/data/<graph>.<algo>.queries`. After an intentional change to a
@@ -31,9 +33,10 @@ mod common;
 
 use common::{fixture_graphs, golden_config, golden_queries_path, queries_text, query_pairs};
 use usnae::api::{
-    BuildConfig, CacheStatus, HeapBackend, OutputBackend, QueryEngine, SnapshotBackend,
+    BuildConfig, BuildOutput, CacheStatus, HeapBackend, MappedBackend, OutputBackend, QueryEngine,
 };
 use usnae::core::cache::{build_cached, CacheConfig, CacheKey, Snapshot};
+use usnae::core::{EdgeKind, EdgeProvenance, Emulator};
 use usnae::graph::distance::Apsp;
 use usnae::registry;
 
@@ -49,7 +52,7 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The tentpole conformance sweep: registry × backends {Heap, Snapshot} ×
+/// The tentpole conformance sweep: registry × backends {Heap, Mapped} ×
 /// build threads {1, 4} × repeat builds. Every answer must hold against
 /// the exact BFS oracle under the engine's certified `(α, β)`, and the
 /// serialized answer text must be byte-identical across all of it.
@@ -80,10 +83,15 @@ fn certified_stretch_holds_and_answers_agree_across_backends_and_threads() {
                     .expect("write snapshot");
 
                 let heap = HeapBackend::from_output(&out);
-                let disk = SnapshotBackend::open(&snap_path).expect("open snapshot");
-                for (kind, backend) in [("heap", &heap as &dyn OutputBackend), ("snapshot", &disk)]
-                {
+                let disk = MappedBackend::open(&snap_path).expect("open snapshot");
+                for (kind, backend) in [("heap", &heap as &dyn OutputBackend), ("mapped", &disk)] {
                     let engine = QueryEngine::open(backend).expect("open engine");
+                    assert_eq!(
+                        engine.store().is_mapped(),
+                        kind == "mapped" && std::env::var_os("USNAE_NO_MMAP").is_none(),
+                        "{}/{tag}/{kind}: where the served store lives",
+                        c.name()
+                    );
                     let (alpha, beta) = engine.guarantee();
                     assert_eq!(
                         backend.certified().unwrap_or((1.0, f64::INFINITY)),
@@ -289,5 +297,54 @@ fn warm_cache_hit_serves_identical_answers() {
             c.name()
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A path whose length saturates at `u64::MAX` leaves its end unreachable
+/// on every engine: a stored maximum weight must never wrap around into a
+/// short distance, whether the emulator is frozen from the heap or served
+/// from a snapshot file.
+#[test]
+fn max_weight_edges_leave_targets_unreachable_on_every_engine() {
+    let prov = EdgeProvenance {
+        phase: 0,
+        kind: EdgeKind::Interconnection,
+        charged_to: 0,
+    };
+    let mut h = Emulator::new(3);
+    h.add_edge(0, 1, u64::MAX, prov);
+    h.add_edge(1, 2, 1, prov);
+    let out = BuildOutput {
+        emulator: h,
+        certified: None,
+        size_bound: None,
+        trace: None,
+        congest: None,
+        stats: Default::default(),
+        algorithm: "max-weight",
+    };
+    let dir = scratch("max-weight");
+    let path = dir.join("max-weight.usnae");
+    let g = usnae::graph::generators::path(3).expect("path graph");
+    let key = CacheKey::new(&g, out.algorithm, &BuildConfig::default());
+    std::fs::write(&path, Snapshot::from_output(key, &out).encode()).expect("write snapshot");
+    let backend = MappedBackend::open(&path).expect("open snapshot");
+
+    let pairs = [(0, 1), (0, 2), (1, 2)];
+    let expected = [None, None, Some(1)];
+    for kind in ["heap", "mapped"] {
+        let open = || match kind {
+            "heap" => QueryEngine::from_output(&out),
+            _ => QueryEngine::open(&backend).expect("open engine"),
+        };
+        let single: Vec<_> = pairs
+            .iter()
+            .map(|&(u, v)| open().distance(u, v).value)
+            .collect();
+        assert_eq!(single, expected, "{kind}: single queries");
+        let batched: Vec<_> = open().distances(&pairs).iter().map(|a| a.value).collect();
+        assert_eq!(batched, expected, "{kind}: batched queries");
+    }
+    drop(backend);
     let _ = std::fs::remove_dir_all(&dir);
 }
