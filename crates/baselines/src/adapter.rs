@@ -19,8 +19,8 @@ use crate::en17::build_en17_exec;
 use crate::ep01::build_ep01_exec;
 use crate::tz06::build_tz06;
 
-/// Execution stats for a baseline build timed as one block (the baselines
-/// do not record per-phase timings). A partitioned build contributes its
+/// Execution stats for a baseline build timed as one block (em19 adds its
+/// per-phase timings; the other baselines record none). A partitioned build contributes its
 /// per-shard layout records; a worker build its transport and measured
 /// message statistics.
 fn timed_stats(cfg: &BuildConfig, t0: Instant, report: EngineReport) -> BuildStats {
@@ -226,7 +226,7 @@ impl Construction for Em19 {
         let params = cfg.distributed_params()?;
         let t0 = Instant::now();
         let engine = Engine::new(g, cfg);
-        let emulator = build_em19_exec(g, &params, &engine);
+        let (emulator, phases) = build_em19_exec(g, &params, &engine);
         let (report, held) = engine.finish_retaining(emulator.provenance())?;
         let mut out = BuildOutput {
             emulator,
@@ -234,7 +234,10 @@ impl Construction for Em19 {
             size_bound: None,
             trace: None,
             congest: None,
-            stats: timed_stats(cfg, t0, report),
+            stats: BuildStats {
+                phases,
+                ..timed_stats(cfg, t0, report)
+            },
             algorithm: self.name(),
         };
         finalize_worker_build(&mut out, held)?;

@@ -1,144 +1,43 @@
 //! EM19-style spanner baseline (Elkin–Matar PODC'19).
 //!
-//! Structurally the same SAI pipeline as the paper's §4 spanner —
-//! popularity detection, ruling forests, shortest-path interconnection —
-//! but with the §3 degree schedule (`deg_i = n^(2^i/κ)` then `n^ρ`) instead
-//! of §4's EN17a sequence. Without the geometric decay that sequence buys,
+//! The paper's §4 spanner pipeline — popularity detection, ruling
+//! forests, shortest-path interconnection — run through
+//! [`usnae_core::spanner::run_phases`] itself, but with the §3 degree
+//! schedule (`deg_i = n^(2^i/κ)` then `n^ρ`) instead of §4's EN17a
+//! sequence. Without the geometric decay that sequence buys,
 //! interconnection paths of length up to `δ_i` pile up and the size is
 //! `O(β·n^(1+1/κ))` — the factor Corollary 4.4 removes. Experiment E7
 //! measures the gap.
 
-use usnae_core::cluster::{Cluster, Partition};
-use usnae_core::emulator::{EdgeKind, EdgeProvenance, Emulator};
+use usnae_core::api::PhaseTiming;
+use usnae_core::emulator::Emulator;
 use usnae_core::engine::Engine;
 use usnae_core::params::DistributedParams;
-use usnae_core::sai::Exploration;
-use usnae_graph::bfs::multi_source_bfs;
-use usnae_graph::{Dist, Graph, VertexId};
+use usnae_core::spanner::{run_phases, PhaseNumbers};
+use usnae_graph::Graph;
 
 /// Crate-internal entry point behind the registry adapter: builds an
-/// EM19-style spanner, a subgraph of `G` with `O(β·n^(1+1/κ))` edges,
-/// with the Task-1 explorations and ruling-set carving running through
+/// EM19-style spanner, a subgraph of `G` with `O(β·n^(1+1/κ))` edges, on
+/// the §4 spanner's phase loop fed with [`DistributedParams`]' per-phase
+/// numbers. The Task-1 explorations and ruling-set carving run through
 /// `engine` (shared array, partitioned shards, or a worker pool) —
-/// byte-identical either way.
+/// byte-identical either way. Returns the spanner and its per-phase
+/// timings.
 pub(crate) fn build_em19_exec(
     g: &Graph,
     params: &DistributedParams,
     engine: &Engine<'_>,
-) -> Emulator {
+) -> (Emulator, Vec<PhaseTiming>) {
     let n = g.num_vertices();
-    let mut spanner = Emulator::new(n);
-    let mut partition = Partition::singletons(n);
-    for i in 0..=params.ell() {
-        let last = i == params.ell();
-        partition = run_phase(g, engine, &mut spanner, &partition, i, params, last);
-    }
-    spanner
-}
-
-fn add_path(
-    spanner: &mut Emulator,
-    path: &[VertexId],
-    phase: usize,
-    kind: EdgeKind,
-    charged_to: VertexId,
-) {
-    for w in path.windows(2) {
-        spanner.add_edge(
-            w[0],
-            w[1],
-            1,
-            EdgeProvenance {
-                phase,
-                kind,
-                charged_to,
-            },
-        );
-    }
-}
-
-fn run_phase(
-    g: &Graph,
-    engine: &Engine<'_>,
-    spanner: &mut Emulator,
-    partition: &Partition,
-    i: usize,
-    params: &DistributedParams,
-    last: bool,
-) -> Partition {
-    let n = g.num_vertices();
-    let delta = params.delta(i);
-    let cap = params.degree_cap(i, n);
-    let center_of = partition.center_index();
-    let centers = partition.centers();
-    let mut is_center = vec![false; n];
-    for &c in &centers {
-        is_center[c] = true;
-    }
-
-    // Task-1 scans are pure per-center BFS — sharded, merged in center
-    // order (deterministic for every thread count and transport).
-    let explorations: Vec<Exploration> = engine.explorations(&centers, delta);
-    let neighbor_lists: Vec<Vec<(VertexId, Dist)>> = explorations
-        .iter()
-        .map(|e| e.centers_found(&is_center))
+    let phases: Vec<PhaseNumbers> = (0..=params.ell())
+        .map(|i| PhaseNumbers {
+            delta: params.delta(i),
+            degree_threshold: params.degree_threshold(i, n),
+            forest_depth: params.forest_depth(i),
+        })
         .collect();
-    let popular: Vec<VertexId> = centers
-        .iter()
-        .zip(&neighbor_lists)
-        .filter(|(_, nbrs)| nbrs.len() >= cap)
-        .map(|(&rc, _)| rc)
-        .collect();
-
-    let mut superclustered = vec![false; n];
-    let mut next_clusters: Vec<Cluster> = Vec::new();
-    if !last && !popular.is_empty() {
-        let rulers = engine.ruling_set(&popular, delta);
-        let forest = multi_source_bfs(g, &rulers, params.forest_depth(i).min(n as Dist));
-        let mut members_of: std::collections::HashMap<VertexId, Vec<usize>> =
-            rulers.iter().map(|&r| (r, vec![center_of[&r]])).collect();
-        for &rc in &centers {
-            let Some(root) = forest.root[rc] else {
-                continue;
-            };
-            superclustered[rc] = true;
-            if rc == root {
-                continue;
-            }
-            let path = forest
-                .path_to_root(rc)
-                .expect("rooted vertices have tree paths");
-            add_path(spanner, &path, i, EdgeKind::Superclustering, rc);
-            members_of
-                .get_mut(&root)
-                .expect("roots seeded")
-                .push(center_of[&rc]);
-        }
-        for &root in &rulers {
-            let mut members = Vec::new();
-            for &idx in &members_of[&root] {
-                members.extend_from_slice(&partition.cluster(idx).members);
-            }
-            next_clusters.push(Cluster {
-                center: root,
-                members,
-            });
-        }
-    }
-
-    for ((&rc, nbrs), expl) in centers.iter().zip(&neighbor_lists).zip(&explorations) {
-        if superclustered[rc] {
-            continue;
-        }
-        for &(v, _) in nbrs {
-            let path = expl
-                .path_to(v)
-                .expect("neighbor reached by this exploration");
-            add_path(spanner, &path, i, EdgeKind::Interconnection, rc);
-        }
-    }
-
-    Partition::from_clusters(next_clusters)
+    let (spanner, _, timings) = run_phases(g, &phases, engine);
+    (spanner, timings)
 }
 
 #[cfg(test)]
@@ -150,7 +49,7 @@ mod tests {
 
     /// The in-process build at `threads`.
     fn build_em19(g: &Graph, params: &DistributedParams, threads: usize) -> Emulator {
-        build_em19_exec(g, params, &Engine::inproc(g, threads))
+        build_em19_exec(g, params, &Engine::inproc(g, threads)).0
     }
 
     #[test]

@@ -140,31 +140,29 @@ fn run_phase(
             .collect()
     };
     // The interconnection scan is status-free (the joined set and center
-    // set are fixed above), so the per-center explorations shard cleanly
-    // and no prefetched ball can go stale; edges are still inserted in
-    // center order, balls sorted by vertex id. Fixed-size blocks bound the
-    // in-flight ball memory.
+    // set are fixed above), so the per-center scans shard cleanly and no
+    // prefetched scan can go stale; edges are still inserted in center
+    // order, neighbors sorted by vertex id. Fixed-size blocks bound the
+    // balls a worker pool returns at once.
     let work: Vec<VertexId> = centers
         .iter()
         .copied()
         .filter(|rc| !joined.contains(rc))
         .collect();
     for block in work.chunks(4096) {
-        let balls = engine.balls(block, delta);
-        for (&rc, ball) in block.iter().zip(&balls) {
-            for &(v, d) in ball {
-                if v != rc && is_center[v] {
-                    emulator.add_edge(
-                        rc,
-                        v,
-                        d,
-                        EdgeProvenance {
-                            phase: i,
-                            kind: EdgeKind::Interconnection,
-                            charged_to: rc,
-                        },
-                    );
-                }
+        let neighbor_lists = engine.centers_within(block, delta, &is_center);
+        for (&rc, nbrs) in block.iter().zip(&neighbor_lists) {
+            for &(v, d) in nbrs {
+                emulator.add_edge(
+                    rc,
+                    v,
+                    d,
+                    EdgeProvenance {
+                        phase: i,
+                        kind: EdgeKind::Interconnection,
+                        charged_to: rc,
+                    },
+                );
             }
         }
     }

@@ -12,7 +12,8 @@
 //! here versus exactly 1 in the paper's construction.
 
 use usnae_core::emulator::{EdgeKind, EdgeProvenance, Emulator};
-use usnae_graph::bfs::{bfs_bounded, multi_source_bfs};
+use usnae_graph::bfs::multi_source_bfs;
+use usnae_graph::par::BallScratch;
 use usnae_graph::rng::Rng;
 use usnae_graph::{Dist, Graph};
 
@@ -39,6 +40,7 @@ pub(crate) fn build_tz06(g: &Graph, kappa: u32, seed: u64) -> Emulator {
     }
 
     let levels = level.len();
+    let mut scratch = BallScratch::new(n);
     for i in 0..levels {
         let a_i: std::collections::HashSet<usize> = level[i].iter().copied().collect();
         if i + 1 < levels {
@@ -54,12 +56,9 @@ pub(crate) fn build_tz06(g: &Graph, kappa: u32, seed: u64) -> Emulator {
                 // Bunch: A_i-vertices strictly closer than the pivot.
                 if pivot_dist > 0 {
                     let horizon = pivot_dist.saturating_sub(1);
-                    let ball = bfs_bounded(g, v, horizon);
-                    for (u, d) in ball.iter().enumerate() {
-                        if let Some(d) = *d {
-                            if u != v && a_i.contains(&u) {
-                                add(&mut emulator, v, u, d, i);
-                            }
+                    for (u, d) in scratch.ball_sorted(g, v, horizon) {
+                        if u != v && a_i.contains(&u) {
+                            add(&mut emulator, v, u, d, i);
                         }
                     }
                 }

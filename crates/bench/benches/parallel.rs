@@ -27,6 +27,11 @@
 //! traffic. `--n` scales the input through the 100k (default) to 1M
 //! regime.
 //!
+//! The §4 spanner and the EM19 baseline get the shared-array leg only
+//! (threads {1, 2, 4, 8}, JSON names `spanner` and `em19`): their phase 0
+//! explores from every vertex and keeps the explorations alive for path
+//! recovery, so this is where per-source exploration state shows.
+//!
 //! A final `message_ratio` field compares the measured worker traffic
 //! against the CONGEST simulator's idealized counts for the same
 //! construction on a bounded side graph (the simulator must not dominate
@@ -35,10 +40,12 @@
 //! are visible next to the timing legs.
 
 use std::time::Duration;
+use usnae_baselines::registry;
 use usnae_bench::rss;
 use usnae_bench::timing::json_string;
 use usnae_core::api::{
-    Algorithm, BuildOutput, Emulator, MessageStats, PartitionPolicy, TransportKind,
+    Algorithm, BuildConfig, BuildOutput, Construction, Emulator, MessageStats, PartitionPolicy,
+    TransportKind,
 };
 use usnae_graph::generators;
 
@@ -57,19 +64,22 @@ struct Run {
 
 fn build(
     g: &usnae_graph::Graph,
-    algorithm: Algorithm,
+    construction: &dyn Construction,
     threads: usize,
     shards: usize,
     transport: TransportKind,
 ) -> BuildOutput {
-    Emulator::builder(g)
-        .epsilon(0.5)
-        .kappa(4)
-        .algorithm(algorithm)
-        .threads(threads)
-        .partition(PartitionPolicy::DegreeBalanced, shards)
-        .transport(transport)
-        .build()
+    let cfg = BuildConfig {
+        epsilon: 0.5,
+        kappa: 4,
+        threads,
+        shards,
+        partition: PartitionPolicy::DegreeBalanced,
+        transport,
+        ..BuildConfig::default()
+    };
+    construction
+        .build(g, &cfg)
         .expect("valid bench configuration")
 }
 
@@ -80,7 +90,7 @@ fn build(
 /// the leg's stream fingerprint.
 fn bench_algorithm(
     g: &usnae_graph::Graph,
-    algorithm: Algorithm,
+    algorithm: &dyn Construction,
     samples: usize,
     shards: usize,
     transport: TransportKind,
@@ -212,8 +222,10 @@ fn main() {
         std::thread::available_parallelism().map_or(1, usize::from)
     );
 
-    let mut algo_json = Vec::new();
+    let mut legs = Vec::new();
     for algorithm in [Algorithm::Centralized, Algorithm::FastCentralized] {
+        let construction = algorithm.construction();
+        let algorithm = construction.as_ref();
         let (runs, speedup, fingerprint, _) = bench_algorithm(
             &g,
             algorithm,
@@ -275,43 +287,59 @@ fn main() {
             worker_messages.bytes,
             worker_messages.pairs.len()
         );
-        for (name, legs, spd, messages) in [
-            (algorithm.name().to_string(), &runs, speedup, None),
-            (
-                format!("{}+sharded", algorithm.name()),
-                &sharded_runs,
-                sharded_speedup,
-                None,
-            ),
-            (
-                format!("{}+workers", algorithm.name()),
-                &worker_runs,
-                worker_speedup,
-                Some(message_json),
-            ),
-        ] {
-            let runs_json: Vec<String> = legs
-                .iter()
-                .map(|r| {
-                    let rss_field = r
-                        .peak_rss_mb
-                        .map_or(String::new(), |mb| format!(",\"peak_rss_mb\":{mb}"));
-                    format!(
-                        "{{\"threads\":{},\"total_s\":{},\"phase0_s\":{},\"explorations\":{}{rss_field}}}",
-                        r.threads,
-                        r.total.as_secs_f64(),
-                        r.phase0.as_secs_f64(),
-                        r.explorations
-                    )
-                })
-                .collect();
-            let messages_field = messages.map_or(String::new(), |m| format!(",\"messages\":{m}"));
-            algo_json.push(format!(
-                "{{\"name\":{},\"phase0_speedup_at_4_threads\":{spd}{messages_field},\"runs\":[{}]}}",
-                json_string(&name),
-                runs_json.join(",")
-            ));
-        }
+        legs.push((algorithm.name().to_string(), runs, speedup, None));
+        legs.push((
+            format!("{}+sharded", algorithm.name()),
+            sharded_runs,
+            sharded_speedup,
+            None,
+        ));
+        legs.push((
+            format!("{}+workers", algorithm.name()),
+            worker_runs,
+            worker_speedup,
+            Some(message_json),
+        ));
+    }
+    // The §4 spanner and the EM19 baseline explore from every center and
+    // keep the explorations for path recovery: shared-array legs only, so
+    // the gate sees their exploration kernel at every thread count.
+    for name in ["spanner", "em19"] {
+        let construction = registry::find(name).expect("registered construction");
+        let (runs, speedup, _, _) = bench_algorithm(
+            &g,
+            construction.as_ref(),
+            samples,
+            0,
+            TransportKind::Inproc,
+            &THREAD_COUNTS,
+            None,
+        );
+        legs.push((name.to_string(), runs, speedup, None));
+    }
+    let mut algo_json = Vec::new();
+    for (name, legs, spd, messages) in legs {
+        let runs_json: Vec<String> = legs
+            .iter()
+            .map(|r| {
+                let rss_field = r
+                    .peak_rss_mb
+                    .map_or(String::new(), |mb| format!(",\"peak_rss_mb\":{mb}"));
+                format!(
+                    "{{\"threads\":{},\"total_s\":{},\"phase0_s\":{},\"explorations\":{}{rss_field}}}",
+                    r.threads,
+                    r.total.as_secs_f64(),
+                    r.phase0.as_secs_f64(),
+                    r.explorations
+                )
+            })
+            .collect();
+        let messages_field = messages.map_or(String::new(), |m| format!(",\"messages\":{m}"));
+        algo_json.push(format!(
+            "{{\"name\":{},\"phase0_speedup_at_4_threads\":{spd}{messages_field},\"runs\":[{}]}}",
+            json_string(&name),
+            runs_json.join(",")
+        ));
     }
     // Measured vs simulated message complexity (the E10 ratio) on a
     // bounded side graph: real channel-worker traffic for the
@@ -322,7 +350,7 @@ fn main() {
         generators::gnp_connected(ratio_n, 8.0 / ratio_n as f64, 42).expect("valid gnp parameters");
     let measured = build(
         &rg,
-        Algorithm::FastCentralized,
+        Algorithm::FastCentralized.construction().as_ref(),
         1,
         BENCH_SHARDS,
         TransportKind::Channel,

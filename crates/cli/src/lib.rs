@@ -78,7 +78,7 @@ use usnae_core::api::{
     BuildConfig, BuildOutput, CacheStatus, MappedBackend, OutputBackend, PartitionPolicy,
     ProcessingOrder, QueryEngine, TransportKind,
 };
-use usnae_core::cache::{build_cached, CacheConfig, CacheKey, ConstructionCache};
+use usnae_core::cache::{build_cached, CacheKey, ConstructionCache};
 use usnae_core::serve::JobSpec;
 use usnae_graph::io::StreamOptions;
 use usnae_graph::{io as gio, Graph, MappedGraph};
@@ -878,7 +878,7 @@ pub fn run_build(g: &Graph, opts: &Options) -> Result<BuildOutput, CliError> {
             construction.as_ref(),
             g,
             &opts.config,
-            &CacheConfig::new(dir),
+            std::path::Path::new(dir),
         ),
         None => construction.build(g, &opts.config),
     }

@@ -266,7 +266,6 @@ pub mod constructions;
 pub mod output;
 pub mod registry;
 
-pub use crate::cache::CacheConfig;
 pub use crate::cache::MappedSnapshot;
 pub use crate::centralized::ProcessingOrder;
 pub use crate::emulator::{EmuCsr, Emulator};
@@ -294,7 +293,7 @@ pub struct EmulatorBuilder<'g> {
     graph: &'g Graph,
     algorithm: Algorithm,
     config: BuildConfig,
-    cache: Option<CacheConfig>,
+    cache_dir: Option<std::path::PathBuf>,
 }
 
 impl<'g> EmulatorBuilder<'g> {
@@ -305,7 +304,7 @@ impl<'g> EmulatorBuilder<'g> {
             graph,
             algorithm: Algorithm::Centralized,
             config: BuildConfig::default(),
-            cache: None,
+            cache_dir: None,
         }
     }
 
@@ -401,14 +400,8 @@ impl<'g> EmulatorBuilder<'g> {
     /// verified against its stored stream fingerprint, and returned without
     /// running any phase (`stats.cache == CacheStatus::Hit`); otherwise the
     /// construction runs and the result is stored. See [`crate::cache`].
-    pub fn cache_dir(self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.cache(CacheConfig::new(dir))
-    }
-
-    /// Like [`cache_dir`](Self::cache_dir) with explicit read/write
-    /// control (e.g. a read-only cache for reproducibility audits).
-    pub fn cache(mut self, cache: CacheConfig) -> Self {
-        self.cache = Some(cache);
+    pub fn cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
+        self.cache_dir = Some(dir.into());
         self
     }
 
@@ -428,13 +421,10 @@ impl<'g> EmulatorBuilder<'g> {
     /// fresh result.
     pub fn build(self) -> Result<BuildOutput, BuildError> {
         let construction = self.algorithm.construction();
-        match &self.cache {
-            Some(cache_cfg) => crate::cache::build_cached(
-                construction.as_ref(),
-                self.graph,
-                &self.config,
-                cache_cfg,
-            ),
+        match &self.cache_dir {
+            Some(dir) => {
+                crate::cache::build_cached(construction.as_ref(), self.graph, &self.config, dir)
+            }
             None => construction.build(self.graph, &self.config),
         }
     }

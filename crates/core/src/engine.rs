@@ -3,8 +3,10 @@
 //!
 //! Every sharded construction (centralized / fast-centralized / spanner
 //! and the EP01/EN17a/EM19 baselines) funnels its bulk graph work through
-//! three primitives — sorted distance balls, full BFS explorations with
-//! parents, and ruling-set carving. [`Engine`] owns the dispatch:
+//! four primitives — sorted distance balls, the neighboring centers within
+//! them, sparse BFS explorations with parents ([`Exploration`]: each
+//! source's settled list, never `O(n)` per source), and ruling-set
+//! carving. [`Engine`] owns the dispatch:
 //!
 //! * **Inproc** (the default): the primitives run against the build's
 //!   [`GraphView`] via the `usnae_graph::par` fan-out — the shared
@@ -27,9 +29,10 @@ use std::cell::RefCell;
 
 use crate::api::{BuildConfig, BuildError};
 use crate::emulator::EdgeProvenance;
-use crate::sai::{self, Exploration};
+use crate::sai;
+use usnae_graph::par::{self, Exploration};
 use usnae_graph::partition::{GraphView, ShardView, ShardedCsr};
-use usnae_graph::{par, AdjStorage, Dist, GraphCore, HeapAdj, VertexId, WeightedEdge};
+use usnae_graph::{AdjStorage, Dist, GraphCore, HeapAdj, VertexId, WeightedEdge};
 use usnae_workers::{
     MessageStats, OutputRecord, ShardInit, TransportKind, WorkerError, WorkerPool,
 };
@@ -134,35 +137,37 @@ impl<'g, S: AdjStorage> Engine<'g, S> {
         par::balls(&self.view, sources, depth, self.threads)
     }
 
-    /// Full bounded explorations of every source — the
-    /// [`Exploration::run`] contract, FIFO-exact BFS parents included.
-    pub fn explorations(&self, sources: &[VertexId], depth: Dist) -> Vec<Exploration> {
-        let n = self.view.num_vertices();
-        if let Some(outcomes) = self.with_pool(|pool| pool.explorations(sources, depth)) {
-            return sources
-                .iter()
-                .zip(outcomes)
-                .map(|(&source, outcome)| {
-                    let mut dist = vec![None; n];
-                    let mut parent = vec![None; n];
-                    for (v, d, p) in outcome.settled {
-                        dist[v] = Some(d);
-                        parent[v] = p;
-                    }
-                    Exploration {
-                        source,
-                        dist,
-                        parent,
-                    }
+    /// Neighboring centers of every source (the [`par::centers_within`]
+    /// contract): per source, every `(v, dist)` with `is_center[v]`,
+    /// `v` not the source and `dist <= depth`, ascending by vertex id.
+    pub fn centers_within(
+        &self,
+        sources: &[VertexId],
+        depth: Dist,
+        is_center: &[bool],
+    ) -> Vec<Vec<(VertexId, Dist)>> {
+        if let Some(balls) = self.with_pool(|pool| pool.balls(sources, depth)) {
+            return balls
+                .into_iter()
+                .zip(sources)
+                .map(|(ball, &s)| {
+                    ball.into_iter()
+                        .filter(|&(v, _)| v != s && is_center[v])
+                        .collect()
                 })
                 .collect();
         }
-        // Capture only the view: the closure must be Sync, the RefCells
-        // in `self` are not.
-        let view = &self.view;
-        par::map_indexed(self.threads, sources.len(), move |idx| {
-            Exploration::run(view, sources[idx], depth)
-        })
+        par::centers_within(&self.view, sources, depth, is_center, self.threads)
+    }
+
+    /// Bounded explorations of every source (the [`par::explorations`]
+    /// contract): per source, the sparse settled list with FIFO-exact BFS
+    /// parents, ascending by vertex id.
+    pub fn explorations(&self, sources: &[VertexId], depth: Dist) -> Vec<Exploration> {
+        if let Some(out) = self.with_pool(|pool| pool.explorations(sources, depth)) {
+            return out;
+        }
+        par::explorations(&self.view, sources, depth, self.threads)
     }
 
     /// Deterministic greedy ruling-set carving (the
@@ -375,13 +380,10 @@ mod tests {
         let engine = Engine::inproc(&g, 2);
         let sources = [0, 7, 33];
         assert_eq!(engine.balls(&sources, 3), par::balls(&g, &sources, 3, 2));
-        let explorations = engine.explorations(&sources, 4);
-        for (&s, e) in sources.iter().zip(&explorations) {
-            let reference = Exploration::run(&g, s, 4);
-            assert_eq!(e.source, reference.source);
-            assert_eq!(e.dist, reference.dist);
-            assert_eq!(e.parent, reference.parent);
-        }
+        assert_eq!(
+            engine.explorations(&sources, 4),
+            par::explorations(&g, &sources, 4, 1)
+        );
         let w: Vec<VertexId> = (0..80).step_by(3).collect();
         assert_eq!(engine.ruling_set(&w, 2), sai::ruling_set(&g, &w, 2));
         let report = engine.finish().unwrap();
@@ -399,14 +401,15 @@ mod tests {
         let engine = Engine::new(&g, &cfg);
         let sources = [1, 40, 77];
         assert_eq!(engine.balls(&sources, 4), par::balls(&g, &sources, 4, 2));
-        let explorations = engine.explorations(&sources, 5);
-        for (&s, e) in sources.iter().zip(&explorations) {
-            let reference = Exploration::run(&g, s, 5);
-            assert_eq!(
-                (e.source, &e.dist, &e.parent),
-                (s, &reference.dist, &reference.parent)
-            );
-        }
+        assert_eq!(
+            engine.explorations(&sources, 5),
+            par::explorations(&g, &sources, 5, 1)
+        );
+        let is_center: Vec<bool> = (0..90).map(|v| v % 2 == 1).collect();
+        assert_eq!(
+            engine.centers_within(&sources, 4, &is_center),
+            par::centers_within(&g, &sources, 4, &is_center, 1)
+        );
         let w: Vec<VertexId> = (0..90).step_by(2).collect();
         assert_eq!(engine.ruling_set(&w, 2), sai::ruling_set(&g, &w, 2));
         let report = engine.finish().unwrap();

@@ -96,28 +96,6 @@ pub(crate) fn build_fast_exec<S: AdjStorage>(
     (emulator, trace, clock.into_phases())
 }
 
-/// Neighboring centers of every entry of `centers` within `delta`. Task 1
-/// is status-free — one pure bounded BFS per center — so the whole scan
-/// fans out through the engine; each list is sorted by vertex id, the
-/// order the historical dense `Exploration` scan produced.
-fn neighbor_lists<S: AdjStorage>(
-    engine: &Engine<'_, S>,
-    centers: &[VertexId],
-    delta: Dist,
-    is_center: &[bool],
-) -> Vec<Vec<(VertexId, Dist)>> {
-    engine
-        .balls(centers, delta)
-        .into_iter()
-        .zip(centers)
-        .map(|(ball, &rc)| {
-            ball.into_iter()
-                .filter(|&(v, _)| v != rc && is_center[v])
-                .collect()
-        })
-        .collect()
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_phase<S: AdjStorage>(
     g: &GraphCore<S>,
@@ -152,8 +130,10 @@ fn run_phase<S: AdjStorage>(
     };
 
     // Task 1: popular-cluster detection — the sharded per-center scan,
-    // reading local CSR shards (or a worker pool) when partitioned.
-    let neighbor_lists = neighbor_lists(engine, &centers, delta, &is_center);
+    // reading local CSR shards (or a worker pool) when partitioned. It is
+    // status-free (one pure bounded BFS per center) and keeps only each
+    // ball's neighboring centers, sorted by vertex id.
+    let neighbor_lists = engine.centers_within(&centers, delta, &is_center);
     let explorations = centers.len();
     let popular: Vec<VertexId> = centers
         .iter()

@@ -1,81 +1,14 @@
-//! Shared primitives of the ruling-set-based SAI constructions (§3.3, §4).
+//! Shared primitives of the ruling-set-based SAI constructions (§3.3, §4):
+//! deterministic ruling-set carving over sparse balls.
+//!
+//! The per-center scans themselves (neighboring centers, and distances
+//! plus BFS-tree parents for path recovery) come from the one bounded-BFS
+//! kernel in `usnae_graph::par`, as sparse sorted lists
+//! ([`usnae_graph::par::Exploration`]).
 
 use crate::exec::ChunkPolicy;
 use usnae_graph::partition::ShardView;
 use usnae_graph::{par, Dist, Graph, VertexId};
-
-/// Bounded-BFS exploration record from one center: distances plus BFS-tree
-/// parents, so interconnection paths can be reconstructed (§4 adds the whole
-/// path to the spanner).
-#[derive(Debug, Clone)]
-pub struct Exploration {
-    /// Origin of the exploration.
-    pub source: VertexId,
-    /// `dist[v]` within the depth bound, else `None`.
-    pub dist: Vec<Option<Dist>>,
-    /// BFS parents toward `source`.
-    pub parent: Vec<Option<VertexId>>,
-}
-
-impl Exploration {
-    /// Runs a bounded BFS from `source` to `depth`.
-    ///
-    /// Generic over [`ShardView`]: the exploration reads the shared
-    /// adjacency array or per-worker CSR shards interchangeably, with
-    /// identical output.
-    pub fn run<V: ShardView + ?Sized>(g: &V, source: VertexId, depth: Dist) -> Self {
-        let n = g.num_vertices();
-        let mut dist = vec![None; n];
-        let mut parent = vec![None; n];
-        let mut queue = std::collections::VecDeque::new();
-        dist[source] = Some(0);
-        queue.push_back(source);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[u].expect("queued vertices have distances");
-            if du == depth {
-                continue;
-            }
-            for &v in g.neighbors(u) {
-                if dist[v].is_none() {
-                    dist[v] = Some(du + 1);
-                    parent[v] = Some(u);
-                    queue.push_back(v);
-                }
-            }
-        }
-        Exploration {
-            source,
-            dist,
-            parent,
-        }
-    }
-
-    /// Shortest path from `source` to `v` (inclusive), or `None` if `v` was
-    /// not reached.
-    pub fn path_to(&self, v: VertexId) -> Option<Vec<VertexId>> {
-        self.dist[v]?;
-        let mut path = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent[cur] {
-            path.push(p);
-            cur = p;
-        }
-        debug_assert_eq!(*path.last().expect("path nonempty"), self.source);
-        path.reverse();
-        Some(path)
-    }
-
-    /// Centers (per `is_center`) within the exploration radius, excluding the
-    /// source, with their distances.
-    pub fn centers_found(&self, is_center: &[bool]) -> Vec<(VertexId, Dist)> {
-        self.dist
-            .iter()
-            .enumerate()
-            .filter_map(|(v, d)| d.map(|d| (v, d)))
-            .filter(|&(v, _)| v != self.source && is_center[v])
-            .collect()
-    }
-}
 
 /// Deterministic greedy min-id ball carving (substitution S1): a ruling set
 /// for `w` with pairwise separation ≥ `2δ + 1` and domination ≤ `2δ`.
@@ -164,23 +97,34 @@ pub(crate) fn ruling_set_impl(
 mod tests {
     use super::*;
     use usnae_graph::generators;
+    use usnae_graph::par::Exploration;
+
+    fn explore<V: ShardView + ?Sized>(g: &V, source: VertexId, depth: Dist) -> Exploration {
+        par::BallScratch::new(g.num_vertices()).explore(g, source, depth)
+    }
 
     #[test]
     fn exploration_matches_bfs() {
         let g = generators::grid2d(6, 6).unwrap();
-        let e = Exploration::run(&g, 0, 4);
+        let e = explore(&g, 0, 4);
         let d = usnae_graph::bfs::bfs_bounded(&g, 0, 4);
-        assert_eq!(e.dist, d);
+        let dense: Vec<(VertexId, Dist)> = d
+            .iter()
+            .enumerate()
+            .filter_map(|(v, d)| d.map(|d| (v, d)))
+            .collect();
+        let sparse: Vec<(VertexId, Dist)> = e.settled().iter().map(|&(v, d, _)| (v, d)).collect();
+        assert_eq!(sparse, dense);
     }
 
     #[test]
     fn path_reconstruction_is_shortest() {
         let g = generators::grid2d(5, 5).unwrap();
-        let e = Exploration::run(&g, 0, 10);
+        let e = explore(&g, 0, 10);
         let p = e.path_to(24).unwrap();
         assert_eq!(p.first(), Some(&0));
         assert_eq!(p.last(), Some(&24));
-        assert_eq!(p.len() as u64 - 1, e.dist[24].unwrap());
+        assert_eq!(p.len() as u64 - 1, e.settled()[24].1);
         // Consecutive vertices are adjacent.
         for w in p.windows(2) {
             assert!(g.has_edge(w[0], w[1]));
@@ -190,7 +134,7 @@ mod tests {
     #[test]
     fn path_to_unreached_is_none() {
         let g = generators::path(10).unwrap();
-        let e = Exploration::run(&g, 0, 3);
+        let e = explore(&g, 0, 3);
         assert!(e.path_to(7).is_none());
         assert!(e.path_to(3).is_some());
     }
@@ -202,8 +146,7 @@ mod tests {
         is_center[0] = true;
         is_center[2] = true;
         is_center[5] = true;
-        let e = Exploration::run(&g, 0, 3);
-        let found = e.centers_found(&is_center);
+        let found = par::BallScratch::new(6).centers_within(&g, 0, 3, &is_center);
         assert_eq!(found, vec![(2, 2)]); // 5 beyond depth; 0 is the source
     }
 

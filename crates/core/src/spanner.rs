@@ -22,9 +22,8 @@ use crate::engine::Engine;
 use crate::exec::{PhaseClock, PhaseTiming};
 use crate::params::SpannerParams;
 use usnae_graph::bfs::multi_source_bfs;
+use usnae_graph::par::Exploration;
 use usnae_graph::{AdjStorage, Dist, GraphCore, VertexId};
-
-use crate::sai::Exploration;
 
 /// Per-phase statistics of a spanner build.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,9 +59,23 @@ pub struct SpannerTrace {
     pub partitions: Vec<Partition>,
 }
 
+/// The per-phase numbers the §4 pipeline runs on. They are all that tells
+/// the paper's spanner (EN17a degree sequence, [`SpannerParams`]) from the
+/// EM19 baseline (§3 sequence, `DistributedParams`): popularity detection,
+/// the ruling forest and path interconnection are the same loop.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PhaseNumbers {
+    /// Distance threshold `δ_i`.
+    pub delta: Dist,
+    /// Real-valued popularity threshold `deg_i`: a cluster with at least
+    /// `⌈deg_i⌉` neighboring centers is popular.
+    pub degree_threshold: f64,
+    /// Depth of the BFS ruling forest.
+    pub forest_depth: Dist,
+}
+
 /// Crate-internal entry point behind [`crate::api::EmulatorBuilder`]: runs
-/// the §4 construction end to end, sharding the Task-1 explorations over
-/// `engine.threads()` and recording per-phase timings.
+/// the §4 construction end to end with [`SpannerParams`]' phase numbers.
 ///
 /// The result is a `(1+ε, β)`-spanner with `O(n^(1+1/κ))` edges
 /// (Corollary 4.4) and a subgraph of `G`: every edge has weight 1 and
@@ -73,18 +86,37 @@ pub(crate) fn build_spanner_exec<S: AdjStorage>(
     engine: &Engine<'_, S>,
 ) -> (Emulator, SpannerTrace, Vec<PhaseTiming>) {
     let n = g.num_vertices();
+    let phases: Vec<PhaseNumbers> = (0..=params.ell())
+        .map(|i| PhaseNumbers {
+            delta: params.delta(i),
+            degree_threshold: params.degree_threshold(i, n),
+            forest_depth: params.forest_depth(i),
+        })
+        .collect();
+    run_phases(g, &phases, engine)
+}
+
+/// The §4 phase loop, one phase per entry of `phases` (the last one only
+/// interconnects): sharding the Task-1 explorations over the engine and
+/// recording per-phase timings. The output is a subgraph of `G`.
+pub fn run_phases<S: AdjStorage>(
+    g: &GraphCore<S>,
+    phases: &[PhaseNumbers],
+    engine: &Engine<'_, S>,
+) -> (Emulator, SpannerTrace, Vec<PhaseTiming>) {
+    let n = g.num_vertices();
     let mut spanner = Emulator::new(n);
     let mut partition = Partition::singletons(n);
     let mut trace = SpannerTrace {
-        phases: Vec::with_capacity(params.ell() + 1),
+        phases: Vec::with_capacity(phases.len()),
         partitions: vec![partition.clone()],
     };
     let mut clock = PhaseClock::new();
-    for i in 0..=params.ell() {
-        let last = i == params.ell();
+    for (i, numbers) in phases.iter().enumerate() {
+        let last = i + 1 == phases.len();
         let (next, phase_trace) = clock.measure(i, || {
             let (next, phase_trace, explorations) =
-                run_phase(g, engine, &mut spanner, &partition, i, params, last);
+                run_phase(g, engine, &mut spanner, &partition, i, numbers, last);
             ((next, phase_trace), explorations)
         });
         trace.phases.push(phase_trace);
@@ -122,19 +154,18 @@ fn add_path(
     created
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_phase<S: AdjStorage>(
     g: &GraphCore<S>,
     engine: &Engine<'_, S>,
     spanner: &mut Emulator,
     partition: &Partition,
     i: usize,
-    params: &SpannerParams,
+    numbers: &PhaseNumbers,
     last: bool,
 ) -> (Partition, SpannerPhaseTrace, usize) {
     let n = g.num_vertices();
-    let delta = params.delta(i);
-    let cap = params.degree_cap(i, n);
+    let delta = numbers.delta;
+    let cap = numbers.degree_threshold.ceil() as usize;
     let center_of = partition.center_index();
     let centers = partition.centers();
     let mut is_center = vec![false; n];
@@ -146,7 +177,7 @@ fn run_phase<S: AdjStorage>(
         phase: i,
         num_clusters: partition.len(),
         delta,
-        degree_threshold: params.degree_threshold(i, n),
+        degree_threshold: numbers.degree_threshold,
         num_popular: 0,
         ruling_set_size: 0,
         num_superclusters: 0,
@@ -155,16 +186,11 @@ fn run_phase<S: AdjStorage>(
         interconnection_edges: 0,
     };
 
-    // Task 1: popular detection, keeping the explorations for path
-    // recovery. Each exploration is a pure function of G, so the whole
-    // scan fans out through the engine (thread pool or worker pool);
-    // results merge in center order, keeping the build deterministic.
-    let explorations: Vec<Exploration> = engine.explorations(&centers, delta);
-    let neighbor_lists: Vec<Vec<(VertexId, Dist)>> = explorations
-        .iter()
-        .map(|e| e.centers_found(&is_center))
-        .collect();
-    let num_explorations = centers.len();
+    // Task 1: popular detection. Each scan is a pure function of G, so
+    // the whole scan fans out through the engine (thread pool or worker
+    // pool), merged in center order; it keeps only each ball's
+    // neighboring centers, so no phase holds a ball per center.
+    let neighbor_lists = engine.centers_within(&centers, delta, &is_center);
     let popular: Vec<VertexId> = centers
         .iter()
         .zip(&neighbor_lists)
@@ -183,7 +209,7 @@ fn run_phase<S: AdjStorage>(
     if !last && !popular.is_empty() {
         let rulers = engine.ruling_set(&popular, delta);
         phase_trace.ruling_set_size = rulers.len();
-        let forest = multi_source_bfs(g, &rulers, params.forest_depth(i));
+        let forest = multi_source_bfs(g, &rulers, numbers.forest_depth);
         let mut members_of: std::collections::HashMap<VertexId, Vec<usize>> =
             rulers.iter().map(|&r| (r, vec![center_of[&r]])).collect();
         for &rc in &centers {
@@ -219,13 +245,22 @@ fn run_phase<S: AdjStorage>(
     }
 
     // Interconnection: unclustered centers add shortest paths to *all*
-    // neighboring centers (§3.1.3 semantics, subgraph edition).
-    for ((&rc, nbrs), expl) in centers.iter().zip(&neighbor_lists).zip(&explorations) {
+    // neighboring centers (§3.1.3 semantics, subgraph edition). Only these
+    // centers need BFS-tree parents, so only they are explored again.
+    let mut unclustered: Vec<(VertexId, &[(VertexId, Dist)])> = Vec::new();
+    for (&rc, nbrs) in centers.iter().zip(&neighbor_lists) {
         if superclustered[rc] {
             continue;
         }
         phase_trace.num_unclustered += 1;
         debug_assert!(nbrs.len() < cap, "U_i clusters are unpopular (Lemma 3.4)");
+        if !nbrs.is_empty() {
+            unclustered.push((rc, nbrs));
+        }
+    }
+    let sources: Vec<VertexId> = unclustered.iter().map(|&(rc, _)| rc).collect();
+    let explorations: Vec<Exploration> = engine.explorations(&sources, delta);
+    for (&(rc, nbrs), expl) in unclustered.iter().zip(&explorations) {
         for &(v, _) in nbrs {
             let path = expl
                 .path_to(v)
@@ -234,6 +269,7 @@ fn run_phase<S: AdjStorage>(
                 add_path(spanner, &path, i, EdgeKind::Interconnection, rc);
         }
     }
+    let num_explorations = centers.len() + sources.len();
 
     (
         Partition::from_clusters(next_clusters),

@@ -4,7 +4,9 @@
 //!
 //! * plain single-source BFS ([`bfs`]) for ground-truth distances;
 //! * depth-bounded BFS ([`bfs_bounded`]) — the "Dijkstra exploration to depth
-//!   `δ_i`" of Algorithm 1 (on an unweighted graph Dijkstra *is* BFS);
+//!   `δ_i`" of Algorithm 1 (on an unweighted graph Dijkstra *is* BFS), in
+//!   its dense reference form; the constructions run the sparse
+//!   [`crate::par::BallScratch`] kernel;
 //! * multi-source BFS ([`multi_source_bfs`]) that also reports the closest
 //!   source and parent pointers — the BFS ruling forest of §3.1.2 Task 3.
 
@@ -29,15 +31,23 @@ use std::collections::VecDeque;
 /// # }
 /// ```
 pub fn bfs<S: AdjStorage>(g: &GraphCore<S>, source: VertexId) -> Vec<Option<Dist>> {
-    bfs_bounded(g, source, INF)
+    dense_bfs(g, source, INF)
 }
 
 /// BFS truncated at `depth`: vertices farther than `depth` stay `None`.
+///
+/// This dense form allocates `O(n)` per call; the constructions explore
+/// through [`crate::par::BallScratch`] instead, and tests use this as the
+/// reference it must agree with.
 pub fn bfs_bounded<S: AdjStorage>(
     g: &GraphCore<S>,
     source: VertexId,
     depth: Dist,
 ) -> Vec<Option<Dist>> {
+    dense_bfs(g, source, depth)
+}
+
+fn dense_bfs<S: AdjStorage>(g: &GraphCore<S>, source: VertexId, depth: Dist) -> Vec<Option<Dist>> {
     let mut dist = vec![None; g.num_vertices()];
     let mut queue = VecDeque::new();
     dist[source] = Some(0);
@@ -55,23 +65,6 @@ pub fn bfs_bounded<S: AdjStorage>(
         }
     }
     dist
-}
-
-/// Vertices within hop distance `depth` of `source` (including `source`),
-/// paired with their distances, in BFS order.
-pub fn ball<S: AdjStorage>(
-    g: &GraphCore<S>,
-    source: VertexId,
-    depth: Dist,
-) -> Vec<(VertexId, Dist)> {
-    let dist = bfs_bounded(g, source, depth);
-    let mut out: Vec<(VertexId, Dist)> = dist
-        .iter()
-        .enumerate()
-        .filter_map(|(v, d)| d.map(|d| (v, d)))
-        .collect();
-    out.sort_by_key(|&(v, d)| (d, v));
-    out
 }
 
 /// Result of a multi-source BFS: per-vertex distance, closest source, and
@@ -202,13 +195,6 @@ mod tests {
         let d = bfs_bounded(&g, 0, 3);
         assert_eq!(d[3], Some(3));
         assert_eq!(d[4], None);
-    }
-
-    #[test]
-    fn ball_is_sorted_by_distance() {
-        let g = path_graph(10);
-        let b = ball(&g, 5, 2);
-        assert_eq!(b, vec![(5, 0), (4, 1), (6, 1), (3, 2), (7, 2)]);
     }
 
     #[test]

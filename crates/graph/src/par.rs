@@ -11,9 +11,15 @@
 //! * [`map_ranges`] / [`map_indexed`] fan a pure map over those shards and
 //!   merge per-shard results **in shard order**, so the merged vector is
 //!   identical for every thread count — including 1;
-//! * [`balls`] runs one bounded BFS per source through the fan-out,
-//!   returning each ball sorted by vertex id (the iteration order the
-//!   sequential constructions use when scanning a dense distance array).
+//! * [`BallScratch`] runs the one bounded FIFO BFS every construction
+//!   explores with, over reusable per-shard scratch; [`explorations`] fans
+//!   it out per source and keeps each source's settled
+//!   `(vertex, distance, parent)` list as an [`Exploration`], [`balls`]
+//!   is the same search with the parents dropped, and [`centers_within`]
+//!   keeps only the marked vertices of each ball. Both return their lists
+//!   sorted by vertex id (the iteration order the sequential constructions
+//!   used when scanning a dense distance array), and hold state
+//!   proportional to the explored balls, never `O(n)` per source.
 //!
 //! Determinism contract: for any `threads >= 1`, every function here
 //! returns *bit-identical* output to its `threads == 1` run. The parity
@@ -23,7 +29,6 @@
 use crate::graph::VertexId;
 use crate::partition::ShardView;
 use crate::{Dist, INF};
-use std::collections::VecDeque;
 use std::ops::Range;
 
 /// Splits `0..len` into at most `shards` contiguous ranges of near-equal
@@ -94,13 +99,77 @@ where
     map_ranges(threads, len, |r| r.map(&f).collect())
 }
 
+/// One bounded-BFS exploration: its source plus every settled vertex with
+/// its distance and FIFO first-discovery BFS-tree parent, **sorted by
+/// vertex id** — the order a scan of a dense distance array visits them.
+///
+/// The state is proportional to the explored ball, never to `n`: the §4
+/// pipeline holds one per unclustered center at once for path recovery,
+/// where dense per-source arrays would cost `O(n)` each.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Exploration {
+    source: VertexId,
+    settled: Vec<(VertexId, Dist, Option<VertexId>)>,
+}
+
+impl Exploration {
+    /// An exploration from its settled list, which must be strictly
+    /// ascending by vertex id (path recovery binary-searches it).
+    ///
+    /// # Panics
+    ///
+    /// When `settled` is not strictly ascending by vertex id.
+    pub fn from_sorted(source: VertexId, settled: Vec<(VertexId, Dist, Option<VertexId>)>) -> Self {
+        assert!(
+            settled.windows(2).all(|w| w[0].0 < w[1].0),
+            "settled list of source {source} is not ascending by vertex id"
+        );
+        Exploration { source, settled }
+    }
+
+    /// Origin of the exploration.
+    pub fn source(&self) -> VertexId {
+        self.source
+    }
+
+    /// `(vertex, distance, parent)` ascending by vertex; the source has
+    /// distance 0 and no parent.
+    pub fn settled(&self) -> &[(VertexId, Dist, Option<VertexId>)] {
+        &self.settled
+    }
+
+    fn entry(&self, v: VertexId) -> Option<&(VertexId, Dist, Option<VertexId>)> {
+        self.settled
+            .binary_search_by_key(&v, |&(u, _, _)| u)
+            .ok()
+            .map(|i| &self.settled[i])
+    }
+
+    /// Shortest path from `source` to `v` (inclusive), or `None` if `v` was
+    /// not reached. Each hop finds its parent by binary search.
+    pub fn path_to(&self, v: VertexId) -> Option<Vec<VertexId>> {
+        let mut entry = self.entry(v)?;
+        let mut path = vec![v];
+        while let Some(p) = entry.2 {
+            path.push(p);
+            entry = self
+                .entry(p)
+                .expect("parents of settled vertices are settled");
+        }
+        debug_assert_eq!(*path.last().expect("path nonempty"), self.source);
+        path.reverse();
+        Some(path)
+    }
+}
+
 /// Reusable bounded-BFS scratch: one dense distance array, reset sparsely
 /// (only the vertices the last search reached), so a shard of many
 /// small-ball searches pays the `O(n)` initialization once.
 #[derive(Debug, Clone)]
 pub struct BallScratch {
     dist: Vec<Dist>,
-    queue: VecDeque<VertexId>,
+    /// FIFO queue of the current search; after it, every reached vertex.
+    queue: Vec<VertexId>,
 }
 
 impl BallScratch {
@@ -108,30 +177,30 @@ impl BallScratch {
     pub fn new(n: usize) -> Self {
         BallScratch {
             dist: vec![INF; n],
-            queue: VecDeque::new(),
+            queue: Vec::new(),
         }
     }
 
-    /// Bounded BFS from `source` to depth `depth`, returning the reached
-    /// vertices (including `source` at distance 0) **sorted by vertex id**
-    /// — the order a scan of a dense distance array visits them, which is
-    /// what keeps the constructions' edge-emission order identical to
-    /// their historical dense-array loops.
+    /// The one bounded-BFS loop: FIFO from `source`, expanding vertices
+    /// closer than `depth`, calling `settle(v, dist, parent)` once per
+    /// reached vertex at its discovery (the source first, with no parent).
     ///
     /// Generic over [`ShardView`], so the same search runs over the shared
     /// adjacency array or over per-worker CSR shards (identical output —
     /// the views are pointwise identical by contract).
-    pub fn ball_sorted<V: ShardView + ?Sized>(
+    fn search<V: ShardView + ?Sized>(
         &mut self,
         g: &V,
         source: VertexId,
         depth: Dist,
-    ) -> Vec<(VertexId, Dist)> {
-        let mut reached: Vec<(VertexId, Dist)> = Vec::new();
+        mut settle: impl FnMut(VertexId, Dist, Option<VertexId>),
+    ) {
         self.dist[source] = 0;
-        self.queue.push_back(source);
-        reached.push((source, 0));
-        while let Some(u) = self.queue.pop_front() {
+        self.queue.push(source);
+        settle(source, 0, None);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
             let du = self.dist[u];
             if du == depth {
                 continue;
@@ -139,18 +208,81 @@ impl BallScratch {
             for &v in g.neighbors(u) {
                 if self.dist[v] == INF {
                     self.dist[v] = du + 1;
-                    reached.push((v, du + 1));
-                    self.queue.push_back(v);
+                    settle(v, du + 1, Some(u));
+                    self.queue.push(v);
                 }
             }
         }
-        for &(v, _) in &reached {
+        for &v in &self.queue {
             self.dist[v] = INF;
         }
         self.queue.clear();
+    }
+
+    /// Bounded BFS from `source` to depth `depth`, returning the reached
+    /// vertices (including `source` at distance 0) **sorted by vertex id**
+    /// — the order a scan of a dense distance array visits them, which is
+    /// what keeps the constructions' edge-emission order identical to
+    /// their historical dense-array loops.
+    pub fn ball_sorted<V: ShardView + ?Sized>(
+        &mut self,
+        g: &V,
+        source: VertexId,
+        depth: Dist,
+    ) -> Vec<(VertexId, Dist)> {
+        let mut reached = Vec::new();
+        self.search(g, source, depth, |v, d, _| reached.push((v, d)));
         reached.sort_unstable_by_key(|&(v, _)| v);
         reached
     }
+
+    /// The vertices `is_center` marks within `depth` of `source`, the source
+    /// excluded, with their distances, sorted by vertex id: a center's
+    /// neighboring centers (Task 1), without keeping the rest of its ball.
+    pub fn centers_within<V: ShardView + ?Sized>(
+        &mut self,
+        g: &V,
+        source: VertexId,
+        depth: Dist,
+        is_center: &[bool],
+    ) -> Vec<(VertexId, Dist)> {
+        let mut found = Vec::new();
+        self.search(g, source, depth, |v, d, _| {
+            if v != source && is_center[v] {
+                found.push((v, d));
+            }
+        });
+        found.sort_unstable_by_key(|&(v, _)| v);
+        found
+    }
+
+    /// [`ball_sorted`](Self::ball_sorted) with the BFS-tree parents kept:
+    /// the full [`Exploration`] from `source`.
+    pub fn explore<V: ShardView + ?Sized>(
+        &mut self,
+        g: &V,
+        source: VertexId,
+        depth: Dist,
+    ) -> Exploration {
+        let mut settled = Vec::new();
+        self.search(g, source, depth, |v, d, p| settled.push((v, d, p)));
+        settled.sort_unstable_by_key(|&(v, _, _)| v);
+        Exploration { source, settled }
+    }
+}
+
+/// Applies `f` to every source with one [`BallScratch`] per shard, merged
+/// in source order.
+fn per_source<V, T, F>(g: &V, sources: &[VertexId], threads: usize, f: F) -> Vec<T>
+where
+    V: ShardView + ?Sized,
+    T: Send,
+    F: Fn(&mut BallScratch, VertexId) -> T + Sync,
+{
+    map_ranges(threads, sources.len(), |range| {
+        let mut scratch = BallScratch::new(g.num_vertices());
+        range.map(|i| f(&mut scratch, sources[i])).collect()
+    })
 }
 
 /// One bounded BFS per source, fanned out over `threads` shards; `out[i]`
@@ -163,11 +295,36 @@ pub fn balls<V: ShardView + ?Sized>(
     depth: Dist,
     threads: usize,
 ) -> Vec<Vec<(VertexId, Dist)>> {
-    map_ranges(threads, sources.len(), |range| {
-        let mut scratch = BallScratch::new(g.num_vertices());
-        range
-            .map(|i| scratch.ball_sorted(g, sources[i], depth))
-            .collect()
+    per_source(g, sources, threads, |scratch, s| {
+        scratch.ball_sorted(g, s, depth)
+    })
+}
+
+/// [`BallScratch::centers_within`] per source: `out[i]` lists the centers
+/// within `depth` of `sources[i]`, under the [`balls`] determinism
+/// contract.
+pub fn centers_within<V: ShardView + ?Sized>(
+    g: &V,
+    sources: &[VertexId],
+    depth: Dist,
+    is_center: &[bool],
+    threads: usize,
+) -> Vec<Vec<(VertexId, Dist)>> {
+    per_source(g, sources, threads, |scratch, s| {
+        scratch.centers_within(g, s, depth, is_center)
+    })
+}
+
+/// [`balls`] with parents: `out[i]` is the [`Exploration`] of
+/// `sources[i]`, under the same determinism contract.
+pub fn explorations<V: ShardView + ?Sized>(
+    g: &V,
+    sources: &[VertexId],
+    depth: Dist,
+    threads: usize,
+) -> Vec<Exploration> {
+    per_source(g, sources, threads, |scratch, s| {
+        scratch.explore(g, s, depth)
     })
 }
 
@@ -222,19 +379,58 @@ mod tests {
         }
     }
 
+    /// The dense FIFO BFS: `O(n)` distance and parent arrays per source,
+    /// first-discovery parents, scanned in vertex order — the oracle
+    /// [`BallScratch::explore`] must agree with.
+    fn dense_exploration(g: &crate::Graph, source: VertexId, depth: Dist) -> Exploration {
+        let n = g.num_vertices();
+        let mut dist = vec![None; n];
+        let mut parent = vec![None; n];
+        let mut queue = std::collections::VecDeque::new();
+        dist[source] = Some(0);
+        queue.push_back(source);
+        while let Some(u) = queue.pop_front() {
+            let du: Dist = dist[u].expect("queued vertices have distances");
+            if du == depth {
+                continue;
+            }
+            for &v in g.neighbors(u) {
+                if dist[v].is_none() {
+                    dist[v] = Some(du + 1);
+                    parent[v] = Some(u);
+                    queue.push_back(v);
+                }
+            }
+        }
+        Exploration {
+            source,
+            settled: (0..n)
+                .filter_map(|v| dist[v].map(|d| (v, d, parent[v])))
+                .collect(),
+        }
+    }
+
     #[test]
     fn ball_sorted_matches_dense_bounded_bfs() {
         let g = generators::gnp_connected(200, 0.04, 11).unwrap();
+        let is_center: Vec<bool> = (0..200).map(|v| v % 3 == 0).collect();
         let mut scratch = BallScratch::new(200);
         for source in [0usize, 7, 199] {
             for depth in [0u64, 1, 2, 5, INF] {
-                let sparse = scratch.ball_sorted(&g, source, depth);
-                let dense: Vec<(VertexId, Dist)> = bfs::bfs_bounded(&g, source, depth)
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(v, d)| d.map(|d| (v, d)))
+                let want = dense_exploration(&g, source, depth);
+                assert_eq!(scratch.explore(&g, source, depth), want);
+                let ball: Vec<(VertexId, Dist)> =
+                    want.settled.iter().map(|&(v, d, _)| (v, d)).collect();
+                assert_eq!(scratch.ball_sorted(&g, source, depth), ball);
+                let marked: Vec<(VertexId, Dist)> = ball
+                    .into_iter()
+                    .filter(|&(v, _)| v != source && is_center[v])
                     .collect();
-                assert_eq!(sparse, dense, "source={source} depth={depth}");
+                assert_eq!(
+                    scratch.centers_within(&g, source, depth, &is_center),
+                    marked,
+                    "source={source} depth={depth}"
+                );
             }
         }
     }

@@ -34,8 +34,8 @@
 //! For every transport, shard count, and worker interleaving, the results
 //! returned by [`WorkerPool::balls`] and [`WorkerPool::explorations`] are
 //! **byte-identical** to the in-process references
-//! ([`usnae_graph::par::balls`] and the FIFO-BFS `Exploration` in
-//! `usnae_core`). The mechanisms:
+//! ([`usnae_graph::par::balls`] and [`usnae_graph::par::explorations`]).
+//! The mechanisms:
 //!
 //! * BFS levels advance in lockstep (one exchange barrier per level), so
 //!   distances are interleaving-independent by construction;
@@ -63,7 +63,7 @@ pub mod stats;
 pub mod worker;
 
 pub use error::WorkerError;
-pub use pool::{ExplorationOutcome, WorkerPool};
+pub use pool::WorkerPool;
 pub use proto::{Candidate, OutputRecord, Request, Response, ShardInit, Task};
 pub use stats::{MessageStats, PairStats, TransportKind};
 pub use worker::ShardWorker;

@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 
+use usnae_graph::par::Exploration;
 use usnae_graph::{Dist, VertexId};
 
 use crate::channel::ChannelTransport;
@@ -33,17 +34,6 @@ type SettledBall = Vec<(VertexId, Dist, u64)>;
 /// One shard's rank-protocol submission: the shard id plus, per ball, its
 /// `(parent_rank, vertex)` keys in the shard's own submission order.
 type ShardKeys = (usize, Vec<(u32, Vec<(u64, VertexId)>)>);
-
-/// One merged exploration result: every settled vertex with its distance
-/// and BFS-tree parent, sorted by vertex id. Semantically identical to
-/// the dense `Exploration` arrays of `usnae_core` (which rebuilds them
-/// from this sparse form).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExplorationOutcome {
-    /// `(vertex, distance, parent)` ascending by vertex; the source has
-    /// distance 0 and no parent.
-    pub settled: Vec<(VertexId, Dist, Option<VertexId>)>,
-}
 
 #[derive(Default)]
 struct StatsAccum {
@@ -185,8 +175,9 @@ impl WorkerPool {
             .collect())
     }
 
-    /// Full explorations of every source (the `Exploration::run`
-    /// contract): distances plus FIFO-exact BFS-tree parents.
+    /// Full explorations of every source (the `par::explorations`
+    /// contract): each source's settled list with FIFO-exact BFS-tree
+    /// parents, ascending by vertex id.
     ///
     /// # Errors
     ///
@@ -195,15 +186,17 @@ impl WorkerPool {
         &mut self,
         sources: &[VertexId],
         depth: Dist,
-    ) -> Result<Vec<ExplorationOutcome>, WorkerError> {
+    ) -> Result<Vec<Exploration>, WorkerError> {
         let results = self.run_task(Task::Explorations, sources, depth)?;
-        Ok(results
-            .into_iter()
-            .map(|ball| ExplorationOutcome {
-                settled: ball
+        Ok(sources
+            .iter()
+            .zip(results)
+            .map(|(&source, ball)| {
+                let settled = ball
                     .into_iter()
                     .map(|(v, d, p)| (v, d, p.checked_sub(1).map(|p| p as VertexId)))
-                    .collect(),
+                    .collect();
+                Exploration::from_sorted(source, settled)
             })
             .collect())
     }
@@ -393,7 +386,17 @@ impl WorkerPool {
                     reason: format!("{} result balls for {num_balls} sources", balls.len()),
                 });
             }
+            let owned = self.boundaries[shard]..self.boundaries[shard + 1];
             for (ball, mut part) in balls.into_iter().enumerate() {
+                let ascending = part.windows(2).all(|w| w[0].0 < w[1].0);
+                if !ascending || part.iter().any(|&(v, _, _)| !owned.contains(&v)) {
+                    return Err(WorkerError::Protocol {
+                        shard,
+                        reason: format!(
+                            "ball {ball}: settled vertices not ascending within {owned:?}"
+                        ),
+                    });
+                }
                 merged[ball].append(&mut part);
             }
         }

@@ -79,7 +79,7 @@ pub enum Task {
     /// Sorted distance balls (the `par::balls` contract): per ball, every
     /// `(v, dist)` with `dist <= depth`, sorted by vertex id.
     Balls,
-    /// Full BFS explorations (the `Exploration::run` contract): balls plus
+    /// Full BFS explorations (the `par::explorations` contract): balls plus
     /// FIFO-exact BFS-tree parents, resolved through the rank protocol.
     Explorations,
 }

@@ -1,18 +1,17 @@
 //! Pool-level conformance: for both transports, every shard count, and
 //! adversarial interleavings, [`WorkerPool`] results are identical to the
-//! in-process references — `usnae_graph::par::balls` for distance balls,
-//! and a sequential FIFO BFS (the `Exploration::run` contract) for full
-//! explorations.
+//! in-process references `usnae_graph::par::balls` and
+//! `usnae_graph::par::explorations` (itself checked against a dense FIFO
+//! BFS in its own unit tests).
 //!
 //! Living in the workers crate's own integration tests means
 //! `CARGO_BIN_EXE_usnae-worker` is available, so the socket transport is
 //! pinned to the freshly-built worker binary.
 
-use std::collections::VecDeque;
 use std::sync::Once;
 
 use usnae_graph::partition::{boundaries, PartitionPolicy};
-use usnae_graph::{generators, par, Dist, Graph, VertexId};
+use usnae_graph::{generators, par, Graph, VertexId};
 use usnae_workers::proto::ShardInit;
 use usnae_workers::{TransportKind, WorkerPool};
 
@@ -55,38 +54,6 @@ fn pool(g: &Graph, kind: TransportKind, shards: usize) -> WorkerPool {
     WorkerPool::new(kind, shard_inits(g, &bounds)).expect("pool spawns")
 }
 
-/// The sequential oracle for explorations: FIFO BFS with first-discovery
-/// parents and the `dist == depth` expansion cutoff, reported as sorted
-/// `(v, dist, parent)` triples — exactly `Exploration::run`'s semantics.
-fn reference_exploration(
-    g: &Graph,
-    source: VertexId,
-    depth: Dist,
-) -> Vec<(VertexId, Dist, Option<VertexId>)> {
-    let n = g.num_vertices();
-    let mut dist: Vec<Option<Dist>> = vec![None; n];
-    let mut parent: Vec<Option<VertexId>> = vec![None; n];
-    let mut queue = VecDeque::new();
-    dist[source] = Some(0);
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u].expect("queued implies settled");
-        if du == depth {
-            continue;
-        }
-        for &v in g.neighbors(u) {
-            if dist[v].is_none() {
-                dist[v] = Some(du + 1);
-                parent[v] = Some(u);
-                queue.push_back(v);
-            }
-        }
-    }
-    (0..n)
-        .filter_map(|v| dist[v].map(|d| (v, d, parent[v])))
-        .collect()
-}
-
 fn graphs() -> Vec<Graph> {
     vec![
         generators::gnp_connected(60, 0.08, 7).expect("valid gnp"),
@@ -111,13 +78,11 @@ fn check_transport(kind: TransportKind) {
                 assert_eq!(got, want, "{kind} x{shards} depth={depth}: balls diverged");
 
                 let got = p.explorations(&srcs, depth).expect("explorations run");
-                for (i, &s) in srcs.iter().enumerate() {
-                    assert_eq!(
-                        got[i].settled,
-                        reference_exploration(&g, s, depth),
-                        "{kind} x{shards} depth={depth} source={s}: exploration diverged"
-                    );
-                }
+                let want = par::explorations(&g, &srcs, depth, 1);
+                assert_eq!(
+                    got, want,
+                    "{kind} x{shards} depth={depth}: explorations diverged"
+                );
 
                 let stats = p.shutdown().expect("clean shutdown");
                 if depth > 0 && shards > 1 {
@@ -193,9 +158,27 @@ fn single_shard_pools_also_conform() {
         p.balls(&srcs, 3).expect("balls run"),
         par::balls(&g, &srcs, 3, 1)
     );
-    let got = p.explorations(&srcs, 3).expect("explorations run");
-    for (i, &s) in srcs.iter().enumerate() {
-        assert_eq!(got[i].settled, reference_exploration(&g, s, 3));
-    }
+    assert_eq!(
+        p.explorations(&srcs, 3).expect("explorations run"),
+        par::explorations(&g, &srcs, 3, 1)
+    );
     p.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn results_outside_a_shards_range_are_a_protocol_error() {
+    // Shard 0's layout claims vertices 4 and 5, which the pool routes to
+    // shard 1: its results then overlap shard 1's range, and the pool must
+    // refuse the merge instead of returning a ball that is not sorted.
+    let g = generators::path(8).expect("valid path");
+    let mut inits = shard_inits(&g, &[0, 6, 8]);
+    let second = shard_inits(&g, &[0, 4, 8]).remove(1);
+    inits[1] = second;
+    let mut p = WorkerPool::new(TransportKind::Channel, inits).expect("pool spawns");
+    match p.explorations(&[0], 8) {
+        Err(usnae_workers::WorkerError::Protocol { shard: 0, reason }) => {
+            assert!(reason.contains("not ascending"), "got {reason}");
+        }
+        other => panic!("expected a Protocol error, got {other:?}"),
+    }
 }

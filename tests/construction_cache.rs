@@ -22,7 +22,7 @@
 
 use usnae::api::{BuildConfig, CacheStatus};
 use usnae::core::cache::{
-    build_cached, CacheConfig, CacheKey, ConstructionCache, Snapshot, SnapshotError, VERSION,
+    build_cached, CacheKey, ConstructionCache, Snapshot, SnapshotError, VERSION,
 };
 use usnae::graph::{generators, Graph};
 use usnae::registry;
@@ -99,18 +99,17 @@ fn every_registry_algorithm_round_trips_through_the_snapshot_codec() {
 #[test]
 fn warm_hit_is_fingerprint_identical_to_cold_build_for_every_algorithm() {
     let dir = temp_cache("warm-parity");
-    let cache_cfg = CacheConfig::new(&dir);
     for c in registry::all() {
         let g = input(23, c.supports().congest);
         let cfg = BuildConfig {
             seed: 23,
             ..BuildConfig::default()
         };
-        let cold = build_cached(c.as_ref(), &g, &cfg, &cache_cfg)
+        let cold = build_cached(c.as_ref(), &g, &cfg, &dir)
             .unwrap_or_else(|e| panic!("{} cold: {e}", c.name()));
         assert_eq!(cold.stats.cache, CacheStatus::Miss, "{}", c.name());
 
-        let warm = build_cached(c.as_ref(), &g, &cfg, &cache_cfg)
+        let warm = build_cached(c.as_ref(), &g, &cfg, &dir)
             .unwrap_or_else(|e| panic!("{} warm: {e}", c.name()));
         let ctx = c.name();
         assert_eq!(warm.stats.cache, CacheStatus::Hit, "{ctx}");
@@ -352,7 +351,7 @@ fn stale_entry_for_a_different_key_is_not_served() {
         other => panic!("stale entry served: {other:?}"),
     }
     // And build_cached degrades to an honest rebuild.
-    let rebuilt = build_cached(c.as_ref(), &g, &cfg_b, &CacheConfig::new(&dir)).unwrap();
+    let rebuilt = build_cached(c.as_ref(), &g, &cfg_b, &dir).unwrap();
     assert_eq!(rebuilt.stats.cache, CacheStatus::Miss);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -360,7 +359,6 @@ fn stale_entry_for_a_different_key_is_not_served() {
 #[test]
 fn cache_verify_finds_exactly_the_damaged_entries() {
     let dir = temp_cache("verify-sweep");
-    let cache_cfg = CacheConfig::new(&dir);
     let cache = ConstructionCache::new(&dir);
     // Warm three entries.
     let names = ["centralized", "spanner", "ep01"];
@@ -368,7 +366,7 @@ fn cache_verify_finds_exactly_the_damaged_entries() {
     let cfg = BuildConfig::default();
     for name in names {
         let c = registry::find(name).unwrap();
-        build_cached(c.as_ref(), &g, &cfg, &cache_cfg).unwrap();
+        build_cached(c.as_ref(), &g, &cfg, &dir).unwrap();
     }
     assert!(cache.verify().unwrap().is_empty());
     // Damage exactly one.

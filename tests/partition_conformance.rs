@@ -253,24 +253,23 @@ fn cache_serves_one_entry_across_all_layouts() {
     // of the cache key: an entry built unpartitioned must serve a
     // partitioned request (and vice versa) with the identical stream.
     use usnae::api::CacheStatus;
-    use usnae::core::cache::{build_cached, CacheConfig};
+    use usnae::core::cache::build_cached;
     let dir = std::env::temp_dir().join(format!("usnae-shard-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cache_cfg = CacheConfig::new(&dir);
     let g = input(19, false);
     let c = registry::find("fast-centralized").unwrap();
     let unpartitioned = BuildConfig {
         seed: 19,
         ..BuildConfig::default()
     };
-    let cold = build_cached(c.as_ref(), &g, &unpartitioned, &cache_cfg).unwrap();
+    let cold = build_cached(c.as_ref(), &g, &unpartitioned, &dir).unwrap();
     assert_eq!(cold.stats.cache, CacheStatus::Miss);
     let partitioned = BuildConfig {
         shards: 4,
         partition: PartitionPolicy::DegreeBalanced,
         ..unpartitioned
     };
-    let warm = build_cached(c.as_ref(), &g, &partitioned, &cache_cfg).unwrap();
+    let warm = build_cached(c.as_ref(), &g, &partitioned, &dir).unwrap();
     assert_eq!(
         warm.stats.cache,
         CacheStatus::Hit,

@@ -35,7 +35,7 @@ use common::{fixture_graphs, golden_config, golden_queries_path, queries_text, q
 use usnae::api::{
     BuildConfig, BuildOutput, CacheStatus, HeapBackend, MappedBackend, OutputBackend, QueryEngine,
 };
-use usnae::core::cache::{build_cached, CacheConfig, CacheKey, Snapshot};
+use usnae::core::cache::{build_cached, CacheKey, Snapshot};
 use usnae::core::{EdgeKind, EdgeProvenance, Emulator};
 use usnae::graph::distance::Apsp;
 use usnae::registry;
@@ -279,14 +279,13 @@ fn landmark_answers_hold_under_the_widened_certificate() {
 #[test]
 fn warm_cache_hit_serves_identical_answers() {
     let dir = scratch("cache");
-    let cache_cfg = CacheConfig::new(&dir);
     let (tag, g) = fixture_graphs().remove(0);
     let pairs = query_pairs(&g);
     let cfg = golden_config();
     for c in registry::all().into_iter().take(3) {
-        let cold = build_cached(c.as_ref(), &g, &cfg, &cache_cfg).expect("cold build");
+        let cold = build_cached(c.as_ref(), &g, &cfg, &dir).expect("cold build");
         assert_eq!(cold.stats.cache, CacheStatus::Miss, "{}", c.name());
-        let warm = build_cached(c.as_ref(), &g, &cfg, &cache_cfg).expect("warm build");
+        let warm = build_cached(c.as_ref(), &g, &cfg, &dir).expect("warm build");
         assert_eq!(warm.stats.cache, CacheStatus::Hit, "{}", c.name());
         let cold_text = queries_text(tag, c.name(), &cold.into_query_engine(), &pairs);
         let warm_text = queries_text(tag, c.name(), &warm.into_query_engine(), &pairs);

@@ -14,8 +14,7 @@ use common::{fixture_graphs, golden_config, golden_path, stream_text};
 use std::path::PathBuf;
 use usnae::api::{BuildConfig, CacheStatus, PartitionPolicy, TransportKind};
 use usnae::core::cache::{
-    build_cached, CacheConfig, CacheKey, ConstructionCache, EvictingCache, Snapshot, SnapshotError,
-    VERSION,
+    build_cached, CacheKey, ConstructionCache, EvictingCache, Snapshot, SnapshotError, VERSION,
 };
 use usnae::registry;
 
@@ -87,8 +86,7 @@ fn golden_v2_and_v3_snapshots_are_refused_and_rebuilt_as_cache_misses() {
         let dir = scratch(&format!("{tag}-build"));
         let entry = ConstructionCache::new(&dir).entry_path(&key);
         std::fs::write(&entry, &bytes).unwrap();
-        let cache_cfg = CacheConfig::new(&dir);
-        let cold = build_cached(c.as_ref(), &g, &cfg, &cache_cfg).expect("rebuild");
+        let cold = build_cached(c.as_ref(), &g, &cfg, &dir).expect("rebuild");
         assert_eq!(cold.stats.cache, CacheStatus::Miss, "{what}");
         let golden = std::fs::read_to_string(golden_path(tag, algo)).expect("golden stream");
         assert_eq!(
@@ -102,7 +100,7 @@ fn golden_v2_and_v3_snapshots_are_refused_and_rebuilt_as_cache_misses() {
             VERSION,
             "{what}: the rebuild must replace the entry with the current codec"
         );
-        let warm = build_cached(c.as_ref(), &g, &cfg, &cache_cfg).expect("warm build");
+        let warm = build_cached(c.as_ref(), &g, &cfg, &dir).expect("warm build");
         assert_eq!(warm.stats.cache, CacheStatus::Hit, "{what}");
         assert_eq!(
             warm.stream_fingerprint(),

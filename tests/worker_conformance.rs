@@ -296,7 +296,7 @@ fn transport_composes_with_threads_and_cache() {
     // and `transport` — like `threads` and `shards` — is not part of the
     // cache key, so one cached entry serves every execution strategy.
     use usnae::api::CacheStatus;
-    use usnae::core::cache::{build_cached, CacheConfig};
+    use usnae::core::cache::build_cached;
     let g = input(19, false);
     let c = registry::find("fast-centralized").unwrap();
     let baseline = c.build(&g, &config(19, 0, TransportKind::Inproc)).unwrap();
@@ -311,12 +311,11 @@ fn transport_composes_with_threads_and_cache() {
 
     let dir = std::env::temp_dir().join(format!("usnae-worker-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cache_cfg = CacheConfig::new(&dir);
     let cold_cfg = BuildConfig {
         traced: false,
         ..config(19, 2, TransportKind::Channel)
     };
-    let cold = build_cached(c.as_ref(), &g, &cold_cfg, &cache_cfg).unwrap();
+    let cold = build_cached(c.as_ref(), &g, &cold_cfg, &dir).unwrap();
     assert_eq!(cold.stats.cache, CacheStatus::Miss);
     assert!(cold.stats.messages.is_some(), "cold worker build measures");
     let warm_cfg = BuildConfig {
@@ -324,7 +323,7 @@ fn transport_composes_with_threads_and_cache() {
         shards: 0,
         ..cold_cfg.clone()
     };
-    let warm = build_cached(c.as_ref(), &g, &warm_cfg, &cache_cfg).unwrap();
+    let warm = build_cached(c.as_ref(), &g, &warm_cfg, &dir).unwrap();
     assert_eq!(
         warm.stats.cache,
         CacheStatus::Hit,
