@@ -11,29 +11,13 @@ use std::time::Instant;
 use usnae_core::api::{
     require_inproc, BuildConfig, BuildError, BuildOutput, BuildStats, Construction, Supports,
 };
-use usnae_core::engine::{finalize_worker_build, Engine, EngineReport};
+use usnae_core::engine::{build_on_engine, Engine};
+use usnae_core::sai::{run_phases, EdgeForm};
 use usnae_graph::Graph;
 
-use crate::em19::build_em19_exec;
 use crate::en17::build_en17_exec;
 use crate::ep01::build_ep01_exec;
 use crate::tz06::build_tz06;
-
-/// Execution stats for a baseline build timed as one block (em19 adds its
-/// per-phase timings; the other baselines record none). A partitioned build contributes its
-/// per-shard layout records; a worker build its transport and measured
-/// message statistics.
-fn timed_stats(cfg: &BuildConfig, t0: Instant, report: EngineReport) -> BuildStats {
-    BuildStats {
-        threads: cfg.threads,
-        total: t0.elapsed(),
-        phases: Vec::new(),
-        shards: report.shards,
-        transport: report.transport,
-        messages: report.messages,
-        ..BuildStats::default()
-    }
-}
 
 /// Elkin–Peleg STOC'01: SAI without buffer sets, plus the ground partition.
 #[derive(Debug, Clone, Copy, Default)]
@@ -69,21 +53,10 @@ impl Construction for Ep01 {
     fn build(&self, g: &Graph, cfg: &BuildConfig) -> Result<BuildOutput, BuildError> {
         cfg.validate()?;
         let params = cfg.centralized_params()?;
-        let t0 = Instant::now();
-        let engine = Engine::new(g, cfg);
-        let emulator = build_ep01_exec(g, &params, &engine);
-        let (report, held) = engine.finish_retaining(emulator.provenance())?;
-        let mut out = BuildOutput {
-            emulator,
-            certified: None,
-            size_bound: self.size_bound(g.num_vertices(), cfg),
-            trace: None,
-            congest: None,
-            stats: timed_stats(cfg, t0, report),
-            algorithm: self.name(),
-        };
-        finalize_worker_build(&mut out, held)?;
-        Ok(out)
+        let size_bound = self.size_bound(g.num_vertices(), cfg);
+        build_on_engine(g, cfg, self.name(), None, size_bound, |engine| {
+            (build_ep01_exec(g, &params, engine), Vec::new(), None)
+        })
     }
 }
 
@@ -135,7 +108,14 @@ impl Construction for Tz06 {
             size_bound: None,
             trace: None,
             congest: None,
-            stats: timed_stats(cfg, t0, report),
+            stats: BuildStats {
+                threads: cfg.threads,
+                total: t0.elapsed(),
+                shards: report.shards,
+                transport: report.transport,
+                messages: report.messages,
+                ..BuildStats::default()
+            },
             algorithm: self.name(),
         })
     }
@@ -173,21 +153,13 @@ impl Construction for En17 {
     fn build(&self, g: &Graph, cfg: &BuildConfig) -> Result<BuildOutput, BuildError> {
         cfg.validate()?;
         let params = cfg.centralized_params()?;
-        let t0 = Instant::now();
-        let engine = Engine::new(g, cfg);
-        let emulator = build_en17_exec(g, &params, cfg.seed, &engine);
-        let (report, held) = engine.finish_retaining(emulator.provenance())?;
-        let mut out = BuildOutput {
-            emulator,
-            certified: None,
-            size_bound: None,
-            trace: None,
-            congest: None,
-            stats: timed_stats(cfg, t0, report),
-            algorithm: self.name(),
-        };
-        finalize_worker_build(&mut out, held)?;
-        Ok(out)
+        build_on_engine(g, cfg, self.name(), None, None, |engine| {
+            (
+                build_en17_exec(g, &params, cfg.seed, engine),
+                Vec::new(),
+                None,
+            )
+        })
     }
 }
 
@@ -223,25 +195,12 @@ impl Construction for Em19 {
 
     fn build(&self, g: &Graph, cfg: &BuildConfig) -> Result<BuildOutput, BuildError> {
         cfg.validate()?;
-        let params = cfg.distributed_params()?;
-        let t0 = Instant::now();
-        let engine = Engine::new(g, cfg);
-        let (emulator, phases) = build_em19_exec(g, &params, &engine);
-        let (report, held) = engine.finish_retaining(emulator.provenance())?;
-        let mut out = BuildOutput {
-            emulator,
-            certified: None,
-            size_bound: None,
-            trace: None,
-            congest: None,
-            stats: BuildStats {
-                phases,
-                ..timed_stats(cfg, t0, report)
-            },
-            algorithm: self.name(),
-        };
-        finalize_worker_build(&mut out, held)?;
-        Ok(out)
+        // The §4 path form on the §3 schedule (see `crate::em19`).
+        let phases = cfg.distributed_params()?.phase_numbers(g.num_vertices());
+        build_on_engine(g, cfg, self.name(), None, None, |engine| {
+            let (spanner, _, timings) = run_phases(g, &phases, EdgeForm::Path, engine);
+            (spanner, timings, None)
+        })
     }
 }
 

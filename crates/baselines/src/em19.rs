@@ -1,55 +1,31 @@
 //! EM19-style spanner baseline (Elkin–Matar PODC'19).
 //!
 //! The paper's §4 spanner pipeline — popularity detection, ruling
-//! forests, shortest-path interconnection — run through
-//! [`usnae_core::spanner::run_phases`] itself, but with the §3 degree
-//! schedule (`deg_i = n^(2^i/κ)` then `n^ρ`) instead of §4's EN17a
-//! sequence. Without the geometric decay that sequence buys,
-//! interconnection paths of length up to `δ_i` pile up and the size is
-//! `O(β·n^(1+1/κ))` — the factor Corollary 4.4 removes. Experiment E7
-//! measures the gap.
-
-use usnae_core::api::PhaseTiming;
-use usnae_core::emulator::Emulator;
-use usnae_core::engine::Engine;
-use usnae_core::params::DistributedParams;
-use usnae_core::spanner::{run_phases, PhaseNumbers};
-use usnae_graph::Graph;
-
-/// Crate-internal entry point behind the registry adapter: builds an
-/// EM19-style spanner, a subgraph of `G` with `O(β·n^(1+1/κ))` edges, on
-/// the §4 spanner's phase loop fed with [`DistributedParams`]' per-phase
-/// numbers. The Task-1 explorations and ruling-set carving run through
-/// `engine` (shared array, partitioned shards, or a worker pool) —
-/// byte-identical either way. Returns the spanner and its per-phase
-/// timings.
-pub(crate) fn build_em19_exec(
-    g: &Graph,
-    params: &DistributedParams,
-    engine: &Engine<'_>,
-) -> (Emulator, Vec<PhaseTiming>) {
-    let n = g.num_vertices();
-    let phases: Vec<PhaseNumbers> = (0..=params.ell())
-        .map(|i| PhaseNumbers {
-            delta: params.delta(i),
-            degree_threshold: params.degree_threshold(i, n),
-            forest_depth: params.forest_depth(i),
-        })
-        .collect();
-    let (spanner, _, timings) = run_phases(g, &phases, engine);
-    (spanner, timings)
-}
+//! forests, shortest-path interconnection — is the SAI loop
+//! [`usnae_core::sai::run_phases`] with paths of `G`
+//! ([`EdgeForm::Path`](usnae_core::sai::EdgeForm)), here run on the §3 degree schedule
+//! ([`DistributedParams::phase_numbers`](usnae_core::params::DistributedParams::phase_numbers):
+//! `deg_i = n^(2^i/κ)` then `n^ρ`)
+//! instead of §4's EN17a sequence. Without the geometric decay that
+//! sequence buys, interconnection paths of length up to `δ_i` pile up and
+//! the size is `O(β·n^(1+1/κ))` — the factor Corollary 4.4 removes.
+//! Experiment E7 measures the gap. The same schedule with weighted edges
+//! is the fast centralized emulator, so every emulator edge `(u, v, w)` of
+//! that build is a `w`-hop path of this spanner.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use usnae_core::api::{Algorithm, Emulator};
+    use usnae_core::engine::Engine;
+    use usnae_core::params::DistributedParams;
+    use usnae_core::sai::{run_phases, EdgeForm};
     use usnae_core::verify::is_subgraph_spanner;
-    use usnae_graph::generators;
+    use usnae_graph::{generators, Graph};
 
     /// The in-process build at `threads`.
     fn build_em19(g: &Graph, params: &DistributedParams, threads: usize) -> Emulator {
-        build_em19_exec(g, params, &Engine::inproc(g, threads)).0
+        let phases = params.phase_numbers(g.num_vertices());
+        run_phases(g, &phases, EdgeForm::Path, &Engine::inproc(g, threads)).0
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! (`<algo>+workers`) reruns the 4-shard layout on the channel worker
 //! transport and emits the measured message complexity (rounds, messages,
 //! bytes) into the JSON, so the trend also tracks worker-protocol
-//! traffic. `--n` scales the input through the 100k (default) to 1M
+//! traffic. Every `+workers` leg runs after all in-process legs, so no
+//! in-process leg's `peak_rss_mb` includes heap a worker leg left
+//! resident. `--n` scales the input through the 100k (default) to 1M
 //! regime.
 //!
 //! The §4 spanner and the EM19 baseline get the shared-array leg only
@@ -222,7 +224,12 @@ fn main() {
         std::thread::available_parallelism().map_or(1, usize::from)
     );
 
+    // Every in-process leg runs before any `+workers` leg: `peak_rss_mb`
+    // is the process high-water mark after `rss::reset_peak()`, which can
+    // only lower the mark to the current resident set, so a leg run after
+    // a worker leg would read the heap that leg left resident.
     let mut legs = Vec::new();
+    let mut worker_legs = Vec::new();
     for algorithm in [Algorithm::Centralized, Algorithm::FastCentralized] {
         let construction = algorithm.construction();
         let algorithm = construction.as_ref();
@@ -248,19 +255,6 @@ fn main() {
             &SHARDED_THREAD_COUNTS,
             Some(fingerprint),
         );
-        // Worker leg: the same 4-shard layout with each shard's
-        // explorations on its own channel worker; measures the wire
-        // traffic the socket transport would pay.
-        let (worker_runs, worker_speedup, _, worker_messages) = bench_algorithm(
-            &g,
-            algorithm,
-            samples,
-            BENCH_SHARDS,
-            TransportKind::Channel,
-            &SHARDED_THREAD_COUNTS,
-            Some(fingerprint),
-        );
-        let worker_messages = worker_messages.expect("worker leg measures messages");
         let shared_p0 = runs
             .iter()
             .find(|r| r.threads == 4)
@@ -280,13 +274,6 @@ fn main() {
                 sharded_p0 / shared_p0.max(f64::EPSILON)
             );
         }
-        let message_json = format!(
-            "{{\"rounds\":{},\"messages\":{},\"bytes\":{},\"pairs\":{}}}",
-            worker_messages.rounds,
-            worker_messages.messages,
-            worker_messages.bytes,
-            worker_messages.pairs.len()
-        );
         legs.push((algorithm.name().to_string(), runs, speedup, None));
         legs.push((
             format!("{}+sharded", algorithm.name()),
@@ -294,12 +281,7 @@ fn main() {
             sharded_speedup,
             None,
         ));
-        legs.push((
-            format!("{}+workers", algorithm.name()),
-            worker_runs,
-            worker_speedup,
-            Some(message_json),
-        ));
+        worker_legs.push((construction, fingerprint));
     }
     // The §4 spanner and the EM19 baseline explore from every center and
     // keep the explorations for path recovery: shared-array legs only, so
@@ -316,6 +298,35 @@ fn main() {
             None,
         );
         legs.push((name.to_string(), runs, speedup, None));
+    }
+    // Worker legs: the same 4-shard layout with each shard's explorations
+    // on its own channel worker; measures the wire traffic the socket
+    // transport would pay.
+    for (construction, fingerprint) in worker_legs {
+        let algorithm = construction.as_ref();
+        let (worker_runs, worker_speedup, _, worker_messages) = bench_algorithm(
+            &g,
+            algorithm,
+            samples,
+            BENCH_SHARDS,
+            TransportKind::Channel,
+            &SHARDED_THREAD_COUNTS,
+            Some(fingerprint),
+        );
+        let worker_messages = worker_messages.expect("worker leg measures messages");
+        let message_json = format!(
+            "{{\"rounds\":{},\"messages\":{},\"bytes\":{},\"pairs\":{}}}",
+            worker_messages.rounds,
+            worker_messages.messages,
+            worker_messages.bytes,
+            worker_messages.pairs.len()
+        );
+        legs.push((
+            format!("{}+workers", algorithm.name()),
+            worker_runs,
+            worker_speedup,
+            Some(message_json),
+        ));
     }
     let mut algo_json = Vec::new();
     for (name, legs, spd, messages) in legs {

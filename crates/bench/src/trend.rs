@@ -26,6 +26,13 @@
 //! | `explorations` | —    | PR 4  | phase-0 exploration count             |
 //! | `peak_rss_mb`  | MiB  | PR 8  | peak RSS (`VmHWM`) of the best sample |
 //!
+//! `peak_rss_mb` is the *process* high-water mark read after
+//! `rss::reset_peak()`, not the build's own allocation: the reset can
+//! only lower the mark to the resident set at that moment, so heap that
+//! an earlier leg left resident counts toward every later leg. The
+//! `parallel` bench therefore runs all in-process legs before any
+//! `+workers` leg.
+//!
 //! `peak_rss_mb` is optional twice over: documents from before PR 8 lack
 //! the field, and runs on platforms without procfs omit it. The
 //! comparison only scores the metric when *both* legs carry it, and —

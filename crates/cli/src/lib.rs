@@ -1030,17 +1030,21 @@ pub fn execute(opts: &Options) -> Result<Vec<String>, CliError> {
             )),
             None => lines.push(format!("transport: {}", out.stats.transport)),
         }
-        let mut timing = format!(
+        lines.push(format!(
             "build: {:.3?} on {} thread(s)",
             out.stats.total, out.stats.threads
-        );
-        if let Some(p0) = out.stats.phase0() {
-            timing.push_str(&format!(
-                "; phase 0: {p0:.3?} ({} explorations)",
-                out.stats.phases[0].explorations
+        ));
+        for p in &out.stats.phases {
+            lines.push(format!(
+                "phase {}: {:.3?} ({} explorations)",
+                p.phase, p.duration, p.explorations
             ));
         }
-        lines.push(timing);
+        let phased: std::time::Duration = out.stats.phases.iter().map(|p| p.duration).sum();
+        lines.push(format!(
+            "unattributed: {:.3?}",
+            out.stats.total.saturating_sub(phased)
+        ));
     }
     Ok(lines)
 }
@@ -1668,6 +1672,51 @@ mod tests {
         };
         assert_eq!(fp(&cold), fp(&warm), "hit is fingerprint-identical");
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_file(&input);
+    }
+
+    #[test]
+    fn report_prints_every_phase_and_the_unattributed_rest() {
+        let input =
+            std::env::temp_dir().join(format!("usnae-cli-phases-{}.txt", std::process::id()));
+        let g = usnae_graph::generators::gnp_connected(120, 0.06, 5).unwrap();
+        let mut file = std::fs::File::create(&input).unwrap();
+        gio::write_edge_list(&g, &mut file).unwrap();
+        let config = BuildConfig {
+            kappa: 8,
+            raw_epsilon: true,
+            ..BuildConfig::default()
+        };
+        let ell = |algo: &str| match algo {
+            "spanner" => config.spanner_params().unwrap().ell(),
+            _ => config.distributed_params().unwrap().ell(),
+        };
+        for algo in ["spanner", "fast-centralized"] {
+            let opts = Options {
+                algo: algo.to_string(),
+                input: input.display().to_string(),
+                graph_file: None,
+                output: None,
+                config: config.clone(),
+                report: true,
+                cache_dir: None,
+                connect: None,
+                workers_addr: None,
+            };
+            let lines = execute(&opts).unwrap();
+            let phases: Vec<&String> = lines.iter().filter(|l| l.starts_with("phase ")).collect();
+            assert!(
+                ell(algo) >= 1,
+                "{algo}: the config must give several phases"
+            );
+            assert_eq!(phases.len(), ell(algo) + 1, "{algo}: {lines:?}");
+            for (i, line) in phases.iter().enumerate() {
+                assert!(line.starts_with(&format!("phase {i}: ")), "{algo}: {line}");
+                assert!(line.ends_with(" explorations)"), "{algo}: {line}");
+            }
+            let last = lines.last().unwrap();
+            assert!(last.starts_with("unattributed: "), "{algo}: {lines:?}");
+        }
         let _ = std::fs::remove_file(&input);
     }
 

@@ -638,7 +638,7 @@ mod tests {
         let d = dist.trace.unwrap();
         let f = fast.trace.unwrap();
         let d0 = d.as_distributed().unwrap()[0].num_popular;
-        let f0 = f.as_fast().unwrap().phases[0].num_popular;
+        let f0 = f.as_sai().unwrap().phases[0].num_popular;
         assert_eq!(d0, f0);
     }
 }

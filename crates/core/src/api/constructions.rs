@@ -7,10 +7,9 @@ use crate::api::{
 use crate::centralized::build_centralized_exec;
 use crate::distributed::driver::build_distributed;
 use crate::distributed::spanner_driver::build_spanner_congest;
-use crate::engine::{finalize_worker_build, Engine};
+use crate::engine::build_on_engine;
 use crate::exec::BuildStats;
-use crate::fast_centralized::build_fast_exec;
-use crate::spanner::build_spanner_exec;
+use crate::sai::{run_phases, EdgeForm};
 use std::time::Instant;
 use usnae_graph::{AdjStorage, Graph, GraphCore, MappedGraph};
 
@@ -26,29 +25,19 @@ impl Centralized {
     ) -> Result<BuildOutput, BuildError> {
         cfg.validate()?;
         let params = cfg.centralized_params()?;
-        let t0 = Instant::now();
-        let engine = Engine::new(g, cfg);
-        let (emulator, trace, phases) = build_centralized_exec(g, &params, cfg.order, &engine);
-        let (report, held) = engine.finish_retaining(emulator.provenance())?;
-        let mut out = BuildOutput {
-            emulator,
-            certified: Some(params.certified_stretch()),
-            size_bound: Some(params.size_bound(g.num_vertices())),
-            trace: cfg.traced.then_some(Trace::Centralized(trace)),
-            congest: None,
-            stats: BuildStats {
-                threads: cfg.threads,
-                total: t0.elapsed(),
-                phases,
-                shards: report.shards,
-                transport: report.transport,
-                messages: report.messages,
-                ..BuildStats::default()
+        let n = g.num_vertices();
+        build_on_engine(
+            g,
+            cfg,
+            self.name(),
+            Some(params.certified_stretch()),
+            Some(params.size_bound(n)),
+            |engine| {
+                let (emulator, trace, phases) =
+                    build_centralized_exec(g, &params, cfg.order, engine);
+                (emulator, phases, Some(Trace::Centralized(trace)))
             },
-            algorithm: self.name(),
-        };
-        finalize_worker_build(&mut out, held)?;
-        Ok(out)
+        )
     }
 }
 
@@ -100,29 +89,19 @@ impl FastCentralized {
     ) -> Result<BuildOutput, BuildError> {
         cfg.validate()?;
         let params = cfg.distributed_params()?;
-        let t0 = Instant::now();
-        let engine = Engine::new(g, cfg);
-        let (emulator, trace, phases) = build_fast_exec(g, &params, &engine);
-        let (report, held) = engine.finish_retaining(emulator.provenance())?;
-        let mut out = BuildOutput {
-            emulator,
-            certified: Some(params.certified_stretch()),
-            size_bound: Some(params.size_bound(g.num_vertices())),
-            trace: cfg.traced.then_some(Trace::Fast(trace)),
-            congest: None,
-            stats: BuildStats {
-                threads: cfg.threads,
-                total: t0.elapsed(),
-                phases,
-                shards: report.shards,
-                transport: report.transport,
-                messages: report.messages,
-                ..BuildStats::default()
+        let n = g.num_vertices();
+        build_on_engine(
+            g,
+            cfg,
+            self.name(),
+            Some(params.certified_stretch()),
+            Some(params.size_bound(n)),
+            |engine| {
+                let phases = params.phase_numbers(n);
+                let (emulator, trace, timings) = run_phases(g, &phases, EdgeForm::Weighted, engine);
+                (emulator, timings, Some(Trace::Sai(trace)))
             },
-            algorithm: self.name(),
-        };
-        finalize_worker_build(&mut out, held)?;
-        Ok(out)
+        )
     }
 }
 
@@ -237,30 +216,19 @@ impl Spanner {
     ) -> Result<BuildOutput, BuildError> {
         cfg.validate()?;
         let params = cfg.spanner_params()?;
-        let t0 = Instant::now();
-        let engine = Engine::new(g, cfg);
-        let (emulator, trace, phases) = build_spanner_exec(g, &params, &engine);
-        let (report, held) = engine.finish_retaining(emulator.provenance())?;
         let n = g.num_vertices();
-        let mut out = BuildOutput {
-            emulator,
-            certified: Some(params.certified_stretch()),
-            size_bound: Some(SPANNER_SIZE_CONSTANT * params.size_bound(n) + n as f64),
-            trace: cfg.traced.then_some(Trace::Spanner(trace)),
-            congest: None,
-            stats: BuildStats {
-                threads: cfg.threads,
-                total: t0.elapsed(),
-                phases,
-                shards: report.shards,
-                transport: report.transport,
-                messages: report.messages,
-                ..BuildStats::default()
+        build_on_engine(
+            g,
+            cfg,
+            self.name(),
+            Some(params.certified_stretch()),
+            Some(SPANNER_SIZE_CONSTANT * params.size_bound(n) + n as f64),
+            |engine| {
+                let phases = params.phase_numbers(n);
+                let (emulator, trace, timings) = run_phases(g, &phases, EdgeForm::Path, engine);
+                (emulator, timings, Some(Trace::Sai(trace)))
             },
-            algorithm: self.name(),
-        };
-        finalize_worker_build(&mut out, held)?;
-        Ok(out)
+        )
     }
 }
 

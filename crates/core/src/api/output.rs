@@ -5,8 +5,7 @@ use crate::distributed::driver::DistributedPhaseTrace;
 use crate::distributed::spanner_driver::SpannerDriverPhase;
 use crate::emulator::Emulator;
 pub use crate::exec::{BuildStats, CacheStatus, PhaseTiming};
-use crate::fast_centralized::FastBuildTrace;
-use crate::spanner::SpannerTrace;
+use crate::sai::SaiTrace;
 use usnae_congest::Metrics;
 
 /// Construction-agnostic view of one phase, distilled from any [`Trace`]
@@ -39,10 +38,10 @@ pub struct PhaseSummary {
 pub enum Trace {
     /// Algorithm 1 (§2) — includes partitions and `U_i` families.
     Centralized(BuildTrace),
-    /// Fast centralized simulation (§3.3).
-    Fast(FastBuildTrace),
-    /// Centralized §4 spanner.
-    Spanner(SpannerTrace),
+    /// The SAI phase loop ([`crate::sai::run_phases`]): the fast
+    /// centralized simulation (§3.3) or the centralized §4 spanner —
+    /// [`BuildOutput::algorithm`] names which.
+    Sai(SaiTrace),
     /// Distributed §3 emulator (per-phase CONGEST records).
     Distributed(Vec<DistributedPhaseTrace>),
     /// Distributed §4 spanner.
@@ -77,8 +76,7 @@ impl Trace {
                 summarize_phases!(t.phases, |p: &crate::centralized::PhaseTrace| p
                     .buffer_join_edges)
             }
-            Trace::Fast(t) => summarize_phases!(t.phases, |_| 0),
-            Trace::Spanner(t) => summarize_phases!(t.phases, |_| 0),
+            Trace::Sai(t) => summarize_phases!(t.phases, |_| 0),
             Trace::Distributed(phases) => summarize_phases!(phases, |_| 0),
             Trace::DistributedSpanner(phases) => summarize_phases!(phases, |_| 0),
         }
@@ -92,18 +90,11 @@ impl Trace {
         }
     }
 
-    /// The §3.3 trace, if this build ran the fast simulation.
-    pub fn as_fast(&self) -> Option<&FastBuildTrace> {
+    /// The SAI loop trace, if this build ran the fast simulation or the
+    /// centralized spanner.
+    pub fn as_sai(&self) -> Option<&SaiTrace> {
         match self {
-            Trace::Fast(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// The §4 spanner trace, if this build ran the centralized spanner.
-    pub fn as_spanner(&self) -> Option<&SpannerTrace> {
-        match self {
-            Trace::Spanner(t) => Some(t),
+            Trace::Sai(t) => Some(t),
             _ => None,
         }
     }

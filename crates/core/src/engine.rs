@@ -26,9 +26,10 @@
 //! instead of silently reporting a worker build that did not happen.
 
 use std::cell::RefCell;
+use std::time::Instant;
 
-use crate::api::{BuildConfig, BuildError};
-use crate::emulator::EdgeProvenance;
+use crate::api::{BuildConfig, BuildError, BuildOutput, BuildStats, PhaseTiming, Trace};
+use crate::emulator::{EdgeProvenance, Emulator};
 use crate::sai;
 use usnae_graph::par::{self, Exploration};
 use usnae_graph::partition::{GraphView, ShardView, ShardedCsr};
@@ -219,7 +220,7 @@ impl<'g, S: AdjStorage> Engine<'g, S> {
     ///
     /// The report's `messages` are a snapshot *including* the retain
     /// traffic; the backend folds in the fetch traffic and final shutdown
-    /// when it verifies the merge (see [`finalize_worker_build`]).
+    /// when it verifies the merge (see [`build_on_engine`]).
     ///
     /// # Errors
     ///
@@ -321,6 +322,57 @@ fn shard_inits(sharded: &ShardedCsr, num_vertices: usize) -> Vec<ShardInit> {
         .collect()
 }
 
+/// The one build path of every engine-backed construction (the paper's
+/// centralized, fast-centralized and spanner builds, and the EP01, EN17a
+/// and EM19 baselines), after the caller has validated `cfg` and derived
+/// its parameters: builds the [`Engine`], runs the construction on it,
+/// finishes the engine (shipping the output to a worker pool's retained
+/// partitions), assembles the [`BuildOutput`] and
+/// verifies the worker-held merge.
+///
+/// `run` returns the output, its per-phase timings and its trace; the
+/// trace is kept only when `cfg.traced`. A worker failure anywhere in the
+/// build surfaces as the worker's own typed [`BuildError::Worker`]: the
+/// engine must finish before the output is assembled, and the merge is
+/// verified last.
+///
+/// # Errors
+///
+/// [`BuildError::Worker`] from [`Engine::finish_retaining`] or the merge
+/// verification.
+pub fn build_on_engine<S: AdjStorage>(
+    g: &GraphCore<S>,
+    cfg: &BuildConfig,
+    algorithm: &'static str,
+    certified: Option<(f64, f64)>,
+    size_bound: Option<f64>,
+    run: impl FnOnce(&Engine<'_, S>) -> (Emulator, Vec<PhaseTiming>, Option<Trace>),
+) -> Result<BuildOutput, BuildError> {
+    let t0 = Instant::now();
+    let engine = Engine::new(g, cfg);
+    let (emulator, phases, trace) = run(&engine);
+    let (report, held) = engine.finish_retaining(emulator.provenance())?;
+    let mut out = BuildOutput {
+        emulator,
+        certified,
+        size_bound,
+        trace: trace.filter(|_| cfg.traced),
+        congest: None,
+        stats: BuildStats {
+            threads: cfg.threads,
+            total: t0.elapsed(),
+            phases,
+            shards: report.shards,
+            transport: report.transport,
+            messages: report.messages,
+            ..BuildStats::default()
+        },
+        algorithm,
+    };
+    finalize_worker_build(&mut out, held)?;
+    Ok(out)
+}
+
 /// Finishes a worker build whose output stayed sharded across the pool
 /// ([`Engine::finish_retaining`]): routes the worker-held partitions
 /// through a [`RemotePartitionedBackend`](crate::api::RemotePartitionedBackend)
@@ -336,8 +388,8 @@ fn shard_inits(sharded: &ShardedCsr, num_vertices: usize) -> Vec<ShardInit> {
 /// [`BuildError::Worker`] — the worker's own typed error (a dead peer
 /// surfaces as `WorkerExited` / `Disconnected`, a bad merge as `Corrupt`
 /// or a fingerprint mismatch).
-pub fn finalize_worker_build(
-    out: &mut crate::api::BuildOutput,
+fn finalize_worker_build(
+    out: &mut BuildOutput,
     held: Option<HeldOutputs>,
 ) -> Result<(), BuildError> {
     let Some(held) = held else {

@@ -14,236 +14,44 @@
 //! 4. interconnect unclustered centers with *all* neighboring centers
 //!    (§3.1.3).
 //!
-//! The size telescopes exactly as in eq. (18)–(19) because
-//! `deg_{i+1} ≤ deg_i²` throughout the §3.1.1 schedule, and every
-//! supercluster absorbs ≥ `deg_i + 1` clusters (Lemma 3.5 with one
-//! supercluster per tree).
-
-use crate::cluster::{Cluster, Partition};
-use crate::emulator::{EdgeKind, EdgeProvenance, Emulator};
-use crate::engine::Engine;
-use crate::exec::{PhaseClock, PhaseTiming};
-use crate::params::DistributedParams;
-use usnae_graph::bfs::multi_source_bfs;
-use usnae_graph::{AdjStorage, Dist, GraphCore, VertexId};
-
-/// Per-phase statistics of a fast-centralized build.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FastPhaseTrace {
-    /// Phase index `i`.
-    pub phase: usize,
-    /// `|P_i|` at phase entry.
-    pub num_clusters: usize,
-    /// Distance threshold `δ_i`.
-    pub delta: Dist,
-    /// Real-valued popularity threshold `deg_i`.
-    pub degree_threshold: f64,
-    /// Popular clusters detected (`|W_i|`).
-    pub num_popular: usize,
-    /// Ruling set size (`|S_i|` of Task 2).
-    pub ruling_set_size: usize,
-    /// Superclusters formed.
-    pub num_superclusters: usize,
-    /// Clusters left unclustered (`|U_i|`).
-    pub num_unclustered: usize,
-    /// Interconnection edge insertions.
-    pub interconnection_edges: usize,
-    /// Superclustering edge insertions.
-    pub superclustering_edges: usize,
-}
-
-/// Build record of the fast centralized construction.
-#[derive(Debug, Clone)]
-pub struct FastBuildTrace {
-    /// One entry per phase `0..=ℓ`.
-    pub phases: Vec<FastPhaseTrace>,
-    /// `partitions[i]` is `P_i`; final entry is `P_{ℓ+1}` (empty).
-    pub partitions: Vec<Partition>,
-}
-
-/// Crate-internal entry point behind [`crate::api::EmulatorBuilder`]: runs
-/// the §3.3 simulation end to end — a `(1+ε, β)`-emulator with ≤
-/// `n^(1+1/κ)` edges in `O(|E|·β·n^ρ)`-style time (Theorem 3.13) —
-/// sharding the Task-1 per-center scans over `engine.threads()` and
-/// recording per-phase timings. The per-center scans and the ruling-set
-/// ball carving run through the [`Engine`] — the in-process fan-out or a
-/// worker pool, byte-identical either way.
-pub(crate) fn build_fast_exec<S: AdjStorage>(
-    g: &GraphCore<S>,
-    params: &DistributedParams,
-    engine: &Engine<'_, S>,
-) -> (Emulator, FastBuildTrace, Vec<PhaseTiming>) {
-    let n = g.num_vertices();
-    let mut emulator = Emulator::new(n);
-    let mut partition = Partition::singletons(n);
-    let mut trace = FastBuildTrace {
-        phases: Vec::with_capacity(params.ell() + 1),
-        partitions: vec![partition.clone()],
-    };
-    let mut clock = PhaseClock::new();
-    for i in 0..=params.ell() {
-        let last = i == params.ell();
-        let (next, phase_trace) = clock.measure(i, || {
-            let (next, phase_trace, explorations) =
-                run_phase(g, engine, &mut emulator, &partition, i, params, last);
-            ((next, phase_trace), explorations)
-        });
-        trace.phases.push(phase_trace);
-        trace.partitions.push(next.clone());
-        partition = next;
-    }
-    debug_assert!(partition.is_empty(), "P_(ell+1) must be empty (eq. 17)");
-    (emulator, trace, clock.into_phases())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_phase<S: AdjStorage>(
-    g: &GraphCore<S>,
-    engine: &Engine<'_, S>,
-    emulator: &mut Emulator,
-    partition: &Partition,
-    i: usize,
-    params: &DistributedParams,
-    last: bool,
-) -> (Partition, FastPhaseTrace, usize) {
-    let n = g.num_vertices();
-    let delta = params.delta(i);
-    let cap = params.degree_cap(i, n);
-    let center_of = partition.center_index();
-    let centers = partition.centers();
-    let mut is_center = vec![false; n];
-    for &c in &centers {
-        is_center[c] = true;
-    }
-
-    let mut phase_trace = FastPhaseTrace {
-        phase: i,
-        num_clusters: partition.len(),
-        delta,
-        degree_threshold: params.degree_threshold(i, n),
-        num_popular: 0,
-        ruling_set_size: 0,
-        num_superclusters: 0,
-        num_unclustered: 0,
-        interconnection_edges: 0,
-        superclustering_edges: 0,
-    };
-
-    // Task 1: popular-cluster detection — the sharded per-center scan,
-    // reading local CSR shards (or a worker pool) when partitioned. It is
-    // status-free (one pure bounded BFS per center) and keeps only each
-    // ball's neighboring centers, sorted by vertex id.
-    let neighbor_lists = engine.centers_within(&centers, delta, &is_center);
-    let explorations = centers.len();
-    let popular: Vec<VertexId> = centers
-        .iter()
-        .zip(&neighbor_lists)
-        .filter(|(_, nbrs)| nbrs.len() >= cap)
-        .map(|(&rc, _)| rc)
-        .collect();
-    phase_trace.num_popular = popular.len();
-    debug_assert!(
-        !last || popular.is_empty(),
-        "no popular clusters in phase ell (eq. 17)"
-    );
-
-    let mut superclustered = vec![false; n]; // indexed by center vertex
-    let mut next_clusters: Vec<Cluster> = Vec::new();
-
-    if !last && !popular.is_empty() {
-        // Task 2: ruling set for the popular centers, its ball carving
-        // sharded over the same engine (byte-identical to sequential).
-        let rulers = engine.ruling_set(&popular, delta);
-        phase_trace.ruling_set_size = rulers.len();
-
-        // Task 3: BFS ruling forest; one supercluster per tree (§3.3 — no
-        // hub splitting is needed centrally).
-        let forest = multi_source_bfs(g, &rulers, params.forest_depth(i));
-        let mut members_of: std::collections::HashMap<VertexId, Vec<usize>> =
-            rulers.iter().map(|&r| (r, vec![center_of[&r]])).collect();
-        for &rc in &centers {
-            let Some(root) = forest.root[rc] else {
-                continue;
-            };
-            superclustered[rc] = true;
-            if rc == root {
-                continue;
-            }
-            emulator.add_edge(
-                root,
-                rc,
-                forest.dist[rc],
-                EdgeProvenance {
-                    phase: i,
-                    kind: EdgeKind::Superclustering,
-                    charged_to: rc,
-                },
-            );
-            phase_trace.superclustering_edges += 1;
-            members_of
-                .get_mut(&root)
-                .expect("every root was seeded")
-                .push(center_of[&rc]);
-        }
-        for &root in &rulers {
-            let mut members = Vec::new();
-            for &idx in &members_of[&root] {
-                members.extend_from_slice(&partition.cluster(idx).members);
-            }
-            next_clusters.push(Cluster {
-                center: root,
-                members,
-            });
-        }
-        phase_trace.num_superclusters = next_clusters.len();
-    }
-
-    // Interconnection (§3.1.3): every unclustered center connects to all its
-    // neighboring centers (in the last phase, that is every center).
-    for (&rc, nbrs) in centers.iter().zip(&neighbor_lists) {
-        if superclustered[rc] {
-            continue;
-        }
-        phase_trace.num_unclustered += 1;
-        debug_assert!(
-            nbrs.len() < cap,
-            "U_i clusters are unpopular (Lemma 3.4): {} >= {cap}",
-            nbrs.len()
-        );
-        for &(v, d) in nbrs {
-            emulator.add_edge(
-                rc,
-                v,
-                d,
-                EdgeProvenance {
-                    phase: i,
-                    kind: EdgeKind::Interconnection,
-                    charged_to: rc,
-                },
-            );
-            phase_trace.interconnection_edges += 1;
-        }
-    }
-
-    (
-        Partition::from_clusters(next_clusters),
-        phase_trace,
-        explorations,
-    )
-}
+//! That is the SAI loop [`crate::sai::run_phases`], run on
+//! [`DistributedParams::phase_numbers`](crate::params::DistributedParams::phase_numbers)
+//! with weighted emulator edges ([`EdgeForm::Weighted`](crate::sai::EdgeForm)):
+//! superclustering adds `(root, rc, d_G(root, rc))` and interconnection
+//! `(rc, v, d_G(rc, v))`. The §4 spanner runs the same loop with paths of
+//! `G` instead. [`FastCentralized`](crate::api::constructions::FastCentralized) is the construction.
+//!
+//! The result is a `(1+ε, β)`-emulator with ≤ `n^(1+1/κ)` edges in
+//! `O(|E|·β·n^ρ)`-style time (Theorem 3.13). The size telescopes exactly
+//! as in eq. (18)–(19) because `deg_{i+1} ≤ deg_i²` throughout the §3.1.1
+//! schedule, and every supercluster absorbs ≥ `deg_i + 1` clusters
+//! (Lemma 3.5 with one supercluster per tree).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::charging::ChargeLedger;
+    use crate::emulator::Emulator;
+    use crate::engine::Engine;
+    use crate::params::DistributedParams;
+    use crate::sai::{run_phases, EdgeForm, SaiTrace};
     use crate::verify::audit_stretch;
     use usnae_graph::distance::sample_pairs;
     use usnae_graph::generators;
     use usnae_graph::Graph;
 
+    /// The §3.3 build on `engine`: the SAI loop with weighted edges.
+    fn build_fast_on(
+        g: &Graph,
+        params: &DistributedParams,
+        engine: &Engine<'_>,
+    ) -> (Emulator, SaiTrace, Vec<crate::exec::PhaseTiming>) {
+        let phases = params.phase_numbers(g.num_vertices());
+        run_phases(g, &phases, EdgeForm::Weighted, engine)
+    }
+
     /// The sequential in-process build, timings dropped.
-    fn build_fast(g: &Graph, params: &DistributedParams) -> (Emulator, FastBuildTrace) {
-        let (emulator, trace, _) = build_fast_exec(g, params, &Engine::inproc(g, 1));
+    fn build_fast(g: &Graph, params: &DistributedParams) -> (Emulator, SaiTrace) {
+        let (emulator, trace, _) = build_fast_on(g, params, &Engine::inproc(g, 1));
         (emulator, trace)
     }
 
@@ -380,10 +188,10 @@ mod tests {
         for seed in [2u64, 6] {
             let g = generators::gnp_connected(260, 0.05, seed).unwrap();
             let p = params(0.5, 4, 0.5);
-            let (h1, t1, timings) = build_fast_exec(&g, &p, &Engine::inproc(&g, 1));
+            let (h1, t1, timings) = build_fast_on(&g, &p, &Engine::inproc(&g, 1));
             assert_eq!(timings.len(), t1.phases.len());
             for threads in [2usize, 4, 8] {
-                let (ht, tt, _) = build_fast_exec(&g, &p, &Engine::inproc(&g, threads));
+                let (ht, tt, _) = build_fast_on(&g, &p, &Engine::inproc(&g, threads));
                 assert_eq!(
                     h1.provenance(),
                     ht.provenance(),
@@ -399,7 +207,7 @@ mod tests {
                     threads: 2,
                     ..crate::api::BuildConfig::default()
                 };
-                let (hp, tp, _) = build_fast_exec(&g, &p, &Engine::new(&g, &cfg));
+                let (hp, tp, _) = build_fast_on(&g, &p, &Engine::new(&g, &cfg));
                 assert_eq!(h1.provenance(), hp.provenance(), "seed {seed} {policy}");
                 assert_eq!(t1.phases, tp.phases, "seed {seed} {policy}");
             }

@@ -20,6 +20,10 @@
 //! * [`spanner`] — the §4 variant producing *subgraph* spanners with
 //!   `O(n^(1+1/κ))` edges (improving EM19's `O(β·n^(1+1/κ))`).
 //!
+//! The fast simulation and the §4 spanner run one phase loop,
+//! [`sai::run_phases`]: the first emits weighted emulator edges, the
+//! second shortest paths of `G`.
+//!
 //! Supporting modules: [`params`] (the paper's parameter algebra, §2.1.2,
 //! §3.1.1, §4), [`cluster`] (partial partitions `P_i`), [`emulator`] (the
 //! output object with per-edge provenance), [`charging`] (the Lemma 2.4

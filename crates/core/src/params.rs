@@ -29,6 +29,7 @@
 //! statements.
 
 use crate::error::ParamError;
+use crate::sai::PhaseNumbers;
 use usnae_graph::Dist;
 
 /// Saturation cap for distance thresholds. Any threshold beyond this exceeds
@@ -410,6 +411,18 @@ impl DistributedParams {
         sat_add(self.ruling_radius(i), self.delta(i))
     }
 
+    /// The numbers of phases `0..=ℓ` for [`crate::sai::run_phases`] (the
+    /// §3.3 simulation and the EM19 baseline).
+    pub fn phase_numbers(&self, n: usize) -> Vec<PhaseNumbers> {
+        (0..=self.ell())
+            .map(|i| PhaseNumbers {
+                delta: self.delta(i),
+                degree_threshold: self.degree_threshold(i, n),
+                forest_depth: self.forest_depth(i),
+            })
+            .collect()
+    }
+
     /// The headline size bound `n^(1+1/κ)` (eq. 19).
     pub fn size_bound(&self, n: usize) -> f64 {
         npow(n, 1.0 + 1.0 / self.kappa as f64)
@@ -591,6 +604,18 @@ impl SpannerParams {
     /// BFS ruling-forest depth `rul_i + δ_i`.
     pub fn forest_depth(&self, i: usize) -> Dist {
         sat_add(self.ruling_radius(i), self.delta(i))
+    }
+
+    /// The numbers of phases `0..=ℓ'` for [`crate::sai::run_phases`] (the
+    /// §4 spanner).
+    pub fn phase_numbers(&self, n: usize) -> Vec<PhaseNumbers> {
+        (0..=self.ell())
+            .map(|i| PhaseNumbers {
+                delta: self.delta(i),
+                degree_threshold: self.degree_threshold(i, n),
+                forest_depth: self.forest_depth(i),
+            })
+            .collect()
     }
 
     /// The spanner size bound is `O(n^(1+1/κ))` (eq. 39); this returns the

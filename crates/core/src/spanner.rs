@@ -15,280 +15,33 @@
 //! forest `F_i` is itself a subgraph, so its edges go straight into the
 //! spanner (≤ `n` per phase, eq. 31) and no hub-vertex splitting is needed —
 //! one supercluster per tree.
-
-use crate::cluster::{Cluster, Partition};
-use crate::emulator::{EdgeKind, EdgeProvenance, Emulator};
-use crate::engine::Engine;
-use crate::exec::{PhaseClock, PhaseTiming};
-use crate::params::SpannerParams;
-use usnae_graph::bfs::multi_source_bfs;
-use usnae_graph::par::Exploration;
-use usnae_graph::{AdjStorage, Dist, GraphCore, VertexId};
-
-/// Per-phase statistics of a spanner build.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpannerPhaseTrace {
-    /// Phase index `i`.
-    pub phase: usize,
-    /// `|P_i|` at phase entry.
-    pub num_clusters: usize,
-    /// Distance threshold `δ_i`.
-    pub delta: Dist,
-    /// Real-valued popularity threshold `deg_i`.
-    pub degree_threshold: f64,
-    /// Popular clusters detected.
-    pub num_popular: usize,
-    /// Ruling set size.
-    pub ruling_set_size: usize,
-    /// Superclusters formed.
-    pub num_superclusters: usize,
-    /// Clusters left unclustered.
-    pub num_unclustered: usize,
-    /// Spanner edge insertions from forest paths (≤ n by eq. 31).
-    pub superclustering_edges: usize,
-    /// Spanner edge insertions from interconnection paths.
-    pub interconnection_edges: usize,
-}
-
-/// Build record of the §4 spanner.
-#[derive(Debug, Clone)]
-pub struct SpannerTrace {
-    /// One entry per phase `0..=ℓ'`.
-    pub phases: Vec<SpannerPhaseTrace>,
-    /// `partitions[i]` is `P_i`; the final entry is `P_{ℓ'+1}` (empty).
-    pub partitions: Vec<Partition>,
-}
-
-/// The per-phase numbers the §4 pipeline runs on. They are all that tells
-/// the paper's spanner (EN17a degree sequence, [`SpannerParams`]) from the
-/// EM19 baseline (§3 sequence, `DistributedParams`): popularity detection,
-/// the ruling forest and path interconnection are the same loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhaseNumbers {
-    /// Distance threshold `δ_i`.
-    pub delta: Dist,
-    /// Real-valued popularity threshold `deg_i`: a cluster with at least
-    /// `⌈deg_i⌉` neighboring centers is popular.
-    pub degree_threshold: f64,
-    /// Depth of the BFS ruling forest.
-    pub forest_depth: Dist,
-}
-
-/// Crate-internal entry point behind [`crate::api::EmulatorBuilder`]: runs
-/// the §4 construction end to end with [`SpannerParams`]' phase numbers.
-///
-/// The result is a `(1+ε, β)`-spanner with `O(n^(1+1/κ))` edges
-/// (Corollary 4.4) and a subgraph of `G`: every edge has weight 1 and
-/// exists in `G` ([`crate::verify::is_subgraph_spanner`] certifies this).
-pub(crate) fn build_spanner_exec<S: AdjStorage>(
-    g: &GraphCore<S>,
-    params: &SpannerParams,
-    engine: &Engine<'_, S>,
-) -> (Emulator, SpannerTrace, Vec<PhaseTiming>) {
-    let n = g.num_vertices();
-    let phases: Vec<PhaseNumbers> = (0..=params.ell())
-        .map(|i| PhaseNumbers {
-            delta: params.delta(i),
-            degree_threshold: params.degree_threshold(i, n),
-            forest_depth: params.forest_depth(i),
-        })
-        .collect();
-    run_phases(g, &phases, engine)
-}
-
-/// The §4 phase loop, one phase per entry of `phases` (the last one only
-/// interconnects): sharding the Task-1 explorations over the engine and
-/// recording per-phase timings. The output is a subgraph of `G`.
-pub fn run_phases<S: AdjStorage>(
-    g: &GraphCore<S>,
-    phases: &[PhaseNumbers],
-    engine: &Engine<'_, S>,
-) -> (Emulator, SpannerTrace, Vec<PhaseTiming>) {
-    let n = g.num_vertices();
-    let mut spanner = Emulator::new(n);
-    let mut partition = Partition::singletons(n);
-    let mut trace = SpannerTrace {
-        phases: Vec::with_capacity(phases.len()),
-        partitions: vec![partition.clone()],
-    };
-    let mut clock = PhaseClock::new();
-    for (i, numbers) in phases.iter().enumerate() {
-        let last = i + 1 == phases.len();
-        let (next, phase_trace) = clock.measure(i, || {
-            let (next, phase_trace, explorations) =
-                run_phase(g, engine, &mut spanner, &partition, i, numbers, last);
-            ((next, phase_trace), explorations)
-        });
-        trace.phases.push(phase_trace);
-        trace.partitions.push(next.clone());
-        partition = next;
-    }
-    debug_assert!(partition.is_empty(), "P_(ell'+1) must be empty (eq. 37)");
-    (spanner, trace, clock.into_phases())
-}
-
-/// Adds every edge of `path` to the spanner with unit weight; returns the
-/// number of *new* edges created.
-fn add_path(
-    spanner: &mut Emulator,
-    path: &[VertexId],
-    phase: usize,
-    kind: EdgeKind,
-    charged_to: VertexId,
-) -> usize {
-    let mut created = 0;
-    for w in path.windows(2) {
-        if spanner.add_edge(
-            w[0],
-            w[1],
-            1,
-            EdgeProvenance {
-                phase,
-                kind,
-                charged_to,
-            },
-        ) {
-            created += 1;
-        }
-    }
-    created
-}
-
-fn run_phase<S: AdjStorage>(
-    g: &GraphCore<S>,
-    engine: &Engine<'_, S>,
-    spanner: &mut Emulator,
-    partition: &Partition,
-    i: usize,
-    numbers: &PhaseNumbers,
-    last: bool,
-) -> (Partition, SpannerPhaseTrace, usize) {
-    let n = g.num_vertices();
-    let delta = numbers.delta;
-    let cap = numbers.degree_threshold.ceil() as usize;
-    let center_of = partition.center_index();
-    let centers = partition.centers();
-    let mut is_center = vec![false; n];
-    for &c in &centers {
-        is_center[c] = true;
-    }
-
-    let mut phase_trace = SpannerPhaseTrace {
-        phase: i,
-        num_clusters: partition.len(),
-        delta,
-        degree_threshold: numbers.degree_threshold,
-        num_popular: 0,
-        ruling_set_size: 0,
-        num_superclusters: 0,
-        num_unclustered: 0,
-        superclustering_edges: 0,
-        interconnection_edges: 0,
-    };
-
-    // Task 1: popular detection. Each scan is a pure function of G, so
-    // the whole scan fans out through the engine (thread pool or worker
-    // pool), merged in center order; it keeps only each ball's
-    // neighboring centers, so no phase holds a ball per center.
-    let neighbor_lists = engine.centers_within(&centers, delta, &is_center);
-    let popular: Vec<VertexId> = centers
-        .iter()
-        .zip(&neighbor_lists)
-        .filter(|(_, nbrs)| nbrs.len() >= cap)
-        .map(|(&rc, _)| rc)
-        .collect();
-    phase_trace.num_popular = popular.len();
-    debug_assert!(
-        !last || popular.is_empty(),
-        "no popular clusters in the last phase (eq. 37)"
-    );
-
-    let mut superclustered = vec![false; n];
-    let mut next_clusters: Vec<Cluster> = Vec::new();
-
-    if !last && !popular.is_empty() {
-        let rulers = engine.ruling_set(&popular, delta);
-        phase_trace.ruling_set_size = rulers.len();
-        let forest = multi_source_bfs(g, &rulers, numbers.forest_depth);
-        let mut members_of: std::collections::HashMap<VertexId, Vec<usize>> =
-            rulers.iter().map(|&r| (r, vec![center_of[&r]])).collect();
-        for &rc in &centers {
-            let Some(root) = forest.root[rc] else {
-                continue;
-            };
-            superclustered[rc] = true;
-            if rc == root {
-                continue;
-            }
-            // The forest is a subgraph of G: add the tree path root←rc.
-            let path = forest
-                .path_to_root(rc)
-                .expect("rooted vertices have tree paths");
-            phase_trace.superclustering_edges +=
-                add_path(spanner, &path, i, EdgeKind::Superclustering, rc);
-            members_of
-                .get_mut(&root)
-                .expect("roots seeded")
-                .push(center_of[&rc]);
-        }
-        for &root in &rulers {
-            let mut members = Vec::new();
-            for &idx in &members_of[&root] {
-                members.extend_from_slice(&partition.cluster(idx).members);
-            }
-            next_clusters.push(Cluster {
-                center: root,
-                members,
-            });
-        }
-        phase_trace.num_superclusters = next_clusters.len();
-    }
-
-    // Interconnection: unclustered centers add shortest paths to *all*
-    // neighboring centers (§3.1.3 semantics, subgraph edition). Only these
-    // centers need BFS-tree parents, so only they are explored again.
-    let mut unclustered: Vec<(VertexId, &[(VertexId, Dist)])> = Vec::new();
-    for (&rc, nbrs) in centers.iter().zip(&neighbor_lists) {
-        if superclustered[rc] {
-            continue;
-        }
-        phase_trace.num_unclustered += 1;
-        debug_assert!(nbrs.len() < cap, "U_i clusters are unpopular (Lemma 3.4)");
-        if !nbrs.is_empty() {
-            unclustered.push((rc, nbrs));
-        }
-    }
-    let sources: Vec<VertexId> = unclustered.iter().map(|&(rc, _)| rc).collect();
-    let explorations: Vec<Exploration> = engine.explorations(&sources, delta);
-    for (&(rc, nbrs), expl) in unclustered.iter().zip(&explorations) {
-        for &(v, _) in nbrs {
-            let path = expl
-                .path_to(v)
-                .expect("neighbor was reached by this exploration");
-            phase_trace.interconnection_edges +=
-                add_path(spanner, &path, i, EdgeKind::Interconnection, rc);
-        }
-    }
-    let num_explorations = centers.len() + sources.len();
-
-    (
-        Partition::from_clusters(next_clusters),
-        phase_trace,
-        num_explorations,
-    )
-}
+//!
+//! So the construction is the SAI loop [`crate::sai::run_phases`] run on
+//! [`SpannerParams::phase_numbers`](crate::params::SpannerParams::phase_numbers)
+//! with paths of `G` ([`EdgeForm::Path`](crate::sai::EdgeForm)): a forest
+//! path for each superclustered center, and for each unclustered center a
+//! shortest path to every neighboring center, recovered by exploring that
+//! center again with BFS-tree parents. The EM19 baseline runs the same
+//! loop on the §3 schedule. [`Spanner`](crate::api::constructions::Spanner) is the construction;
+//! the result is a `(1+ε, β)`-spanner with `O(n^(1+1/κ))` edges
+//! (Corollary 4.4), and [`crate::verify::is_subgraph_spanner`] certifies
+//! that every edge has weight 1 and exists in `G`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::emulator::Emulator;
+    use crate::engine::Engine;
+    use crate::params::SpannerParams;
+    use crate::sai::{run_phases, EdgeForm, SaiTrace};
     use crate::verify::{audit_stretch, is_subgraph_spanner};
     use usnae_graph::distance::sample_pairs;
     use usnae_graph::generators;
     use usnae_graph::Graph;
 
     /// The sequential in-process build, timings dropped.
-    fn build_spanner_impl(g: &Graph, params: &SpannerParams) -> (Emulator, SpannerTrace) {
-        let (spanner, trace, _) = build_spanner_exec(g, params, &Engine::inproc(g, 1));
+    fn build_spanner_impl(g: &Graph, params: &SpannerParams) -> (Emulator, SaiTrace) {
+        let phases = params.phase_numbers(g.num_vertices());
+        let (spanner, trace, _) = run_phases(g, &phases, EdgeForm::Path, &Engine::inproc(g, 1));
         (spanner, trace)
     }
 

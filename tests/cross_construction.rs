@@ -240,3 +240,75 @@ fn distributed_rounds_are_phase_consistent() {
         );
     }
 }
+
+#[test]
+fn fast_centralized_edges_are_em19_paths() {
+    // fast-centralized and em19 run the same SAI loop on the same §3
+    // schedule, so they form the same clusters; em19 realizes each
+    // weighted edge (u, v, w) as a shortest u–v path of G, w hops long.
+    let fast = registry::find("fast-centralized").unwrap();
+    let em19 = registry::find("em19").unwrap();
+    for (family, g) in parity_inputs(false) {
+        for kappa in [2u32, 4, 8] {
+            for raw_epsilon in [false, true] {
+                let cfg = BuildConfig {
+                    kappa,
+                    raw_epsilon,
+                    ..BuildConfig::default()
+                };
+                let label = format!("{family} kappa={kappa} raw={raw_epsilon}");
+                let h = fast.build(&g, &cfg).unwrap().emulator;
+                let s = em19.build(&g, &cfg).unwrap().emulator;
+                assert!(!h.provenance().is_empty(), "{label}");
+                for (e, _) in h.provenance() {
+                    let d = s.distances_from(e.u)[e.v];
+                    assert_eq!(d, Some(e.weight), "{label}: edge {e:?}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn both_edge_forms_form_the_same_clusters() {
+    // What an edge is never feeds back into the clustering: on the same
+    // phase numbers, the weighted and the path form build the same
+    // partitions and count the same popular centers, rulers,
+    // superclusters and unclustered centers in every phase.
+    use usnae::core::engine::Engine;
+    use usnae::core::params::DistributedParams;
+    use usnae::core::sai::{run_phases, EdgeForm};
+    for (family, g) in parity_inputs(false) {
+        for (kappa, raw) in [2u32, 4, 8]
+            .into_iter()
+            .flat_map(|k| [(k, false), (k, true)])
+        {
+            let p = if raw {
+                DistributedParams::with_raw_epsilon(0.5, kappa, 0.5)
+            } else {
+                DistributedParams::new(0.5, kappa, 0.5)
+            }
+            .unwrap();
+            let phases = p.phase_numbers(g.num_vertices());
+            let engine = Engine::inproc(&g, 1);
+            let (_, weighted, _) = run_phases(&g, &phases, EdgeForm::Weighted, &engine);
+            let (_, path, _) = run_phases(&g, &phases, EdgeForm::Path, &engine);
+            let label = format!("{family} kappa={kappa} raw={raw}");
+            assert_eq!(weighted.partitions, path.partitions, "{label}");
+            assert_eq!(weighted.phases.len(), phases.len(), "{label}");
+            assert_eq!(weighted.phases.len(), path.phases.len(), "{label}");
+            for (a, b) in weighted.phases.iter().zip(&path.phases) {
+                let counts = |t: &usnae::core::sai::SaiPhaseTrace| {
+                    (
+                        t.num_clusters,
+                        t.num_popular,
+                        t.ruling_set_size,
+                        t.num_superclusters,
+                        t.num_unclustered,
+                    )
+                };
+                assert_eq!(counts(a), counts(b), "{label} phase {}", a.phase);
+            }
+        }
+    }
+}

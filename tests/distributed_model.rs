@@ -170,7 +170,7 @@ fn distributed_and_fast_agree_on_phase0_popularity() {
     let f_trace = fast.trace.unwrap();
     assert_eq!(
         d_trace.as_distributed().unwrap()[0].num_popular,
-        f_trace.as_fast().unwrap().phases[0].num_popular
+        f_trace.as_sai().unwrap().phases[0].num_popular
     );
 }
 
